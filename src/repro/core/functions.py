@@ -19,12 +19,21 @@ The full space has :math:`4^3 \\cdot 3^2 = 576` members,
 Domain guards: inputs to ``log``/``inv`` are clamped to ``>= 1e-6`` and
 to ``sqrt`` at ``>= 0``; division by (near-)zero yields a large finite
 penalty value.  Guards only activate outside the data domain the paper
-fits on (runtimes >= 1 s, sizes >= 1, submit times >= 0).
+fits on (runtimes >= 1 s, sizes >= 1, submit times >= 0), except for a
+divisor base that is zero on the data — ``/log(n)`` at ``n = 1`` — which
+the regression reports as an infeasible candidate.
+
+Every member is linear in a reparameterisation of its coefficients
+(:data:`REPARAMETERISATION`), which is what lets
+:mod:`repro.core.regression` fit it exactly.  The same design columns
+give each spec a :attr:`FunctionSpec.canonical_key`: two specs with equal
+keys span the same model (``α(r)·id(n) ≡ α(r)/inv(n)``), so only one of
+them is a distinct policy.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from itertools import product
 
@@ -35,13 +44,17 @@ __all__ = [
     "OPERATOR_NAMES",
     "FunctionSpec",
     "FittedFunction",
+    "REPARAMETERISATION",
+    "ZERO_DIVISOR",
     "apply_base",
-    "combine",
+    "distinct_fits",
     "enumerate_function_space",
 ]
 
 _EPS = 1e-6
 _BIG = 1e15
+#: ``|divisor|`` below which ``/`` yields the guard value, not a quotient.
+ZERO_DIVISOR = 1.0 / _BIG
 
 BASE_FUNCTION_NAMES: tuple[str, ...] = ("id", "log", "sqrt", "inv")
 OPERATOR_NAMES: tuple[str, ...] = ("+", "*", "/")
@@ -51,6 +64,34 @@ _BASE_IMPL: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "log": lambda x: np.log10(np.maximum(x, _EPS)),
     "sqrt": lambda x: np.sqrt(np.maximum(x, 0.0)),
     "inv": lambda x: 1.0 / np.maximum(x, _EPS),
+}
+
+
+#: ``(op1, op2)`` → ``(columns, slots)``.  Each design column is a
+#: product of the term images ``(slot, power)`` — slot 0/1/2 is
+#: ``α(r)``/``β(n)``/``γ(s)``, power ``-1`` a divisor — and the fitted
+#: column weights ``k`` become the coefficients at *slots*; the remaining
+#: (redundant) coefficients are fixed at 1.  E.g. ``(c1 α) / (c2 β) +
+#: (c3 γ) = (c1/c2)·α/β + c3·γ`` is columns ``α/β, γ`` with ``c2 = 1``.
+_Column = tuple[tuple[int, int], ...]
+REPARAMETERISATION: dict[tuple[str, str], tuple[tuple[_Column, ...], tuple[int, ...]]] = {
+    ("+", "+"): ((((0, 1),), ((1, 1),), ((2, 1),)), (0, 1, 2)),
+    ("+", "*"): ((((0, 1), (2, 1)), ((1, 1), (2, 1))), (0, 1)),
+    ("+", "/"): ((((0, 1), (2, -1)), ((1, 1), (2, -1))), (0, 1)),
+    ("*", "+"): ((((0, 1), (1, 1)), ((2, 1),)), (0, 2)),
+    ("*", "*"): ((((0, 1), (1, 1), (2, 1)),), (0,)),
+    ("*", "/"): ((((0, 1), (1, 1), (2, -1)),), (0,)),
+    ("/", "+"): ((((0, 1), (1, -1)), ((2, 1),)), (0, 2)),
+    ("/", "*"): ((((0, 1), (1, -1), (2, 1)),), (0,)),
+    ("/", "/"): ((((0, 1), (1, -1), (2, -1)),), (0,)),
+}
+
+# Table 1 bases as monomials ``(power of x, power of log x)``.
+_MONOMIAL: dict[str, tuple[float, int]] = {
+    "id": (1.0, 0),
+    "log": (0.0, 1),
+    "sqrt": (0.5, 0),
+    "inv": (-1.0, 0),
 }
 
 
@@ -71,7 +112,7 @@ def _apply_op(op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if op == "*":
         return a * b
     if op == "/":
-        small = np.abs(b) < 1.0 / _BIG
+        small = np.abs(b) < ZERO_DIVISOR
         safe_b = np.where(small, 1.0, b)
         out = a / safe_b
         return np.where(small, np.sign(a) * np.where(a == 0, 0.0, _BIG), out)
@@ -103,6 +144,24 @@ class FunctionSpec:
             f"{self.alpha}(r){self.op1}{self.beta}(n){self.op2}{self.gamma}(s)"
         )
 
+    @property
+    def canonical_key(self) -> tuple:
+        """The spec's design-column monomials: equal keys, same model.
+
+        Each column is keyed by the powers of ``r``, ``n`` and ``s`` (and
+        of their logs) it multiplies; a divisor flips the sign.
+        """
+        bases = (self.alpha, self.beta, self.gamma)
+        columns, _ = REPARAMETERISATION[(self.op1, self.op2)]
+        keys = []
+        for column in columns:
+            monomials = []
+            for slot, power in column:
+                x_power, log_power = _MONOMIAL[bases[slot]]
+                monomials.append(("rns"[slot], x_power * power, log_power * power))
+            keys.append(tuple(monomials))
+        return tuple(sorted(keys))
+
     def terms(
         self, r: np.ndarray, n: np.ndarray, s: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -123,6 +182,21 @@ class FunctionSpec:
         ta, tb, tc = self.terms(r, n, s)
         inner = _apply_op(self.op1, c1 * ta, c2 * tb)
         return _apply_op(self.op2, inner, c3 * tc)
+
+
+def distinct_fits(fitted: Iterable[FittedFunction], k: int) -> list[FittedFunction]:
+    """The first *k* fits of distinct models (by :attr:`FunctionSpec.
+    canonical_key`), in the given order."""
+    seen: set[tuple] = set()
+    out: list[FittedFunction] = []
+    for f in fitted:
+        if len(out) == k:
+            break
+        key = f.spec.canonical_key
+        if key not in seen:
+            seen.add(key)
+            out.append(f)
+    return out
 
 
 def enumerate_function_space() -> list[FunctionSpec]:

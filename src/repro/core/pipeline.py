@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.distribution import ScoreDistribution
-from repro.core.functions import FittedFunction
+from repro.core.functions import FittedFunction, distinct_fits
 from repro.core.regression import RegressionConfig, fit_all
 from repro.core.taskgen import TaskSetTuple, generate_tuples
 from repro.core.trials import TrialScoreResult
@@ -86,7 +86,7 @@ class PipelineResult:
     trial_results: list[TrialScoreResult]
     distribution: ScoreDistribution
     fitted: list[FittedFunction]  # every candidate, ranked by Eq. 5
-    policies: list[NonlinearPolicy]  # top_k, best first
+    policies: list[NonlinearPolicy]  # top_k distinct models, best first
 
     @property
     def best(self) -> FittedFunction:
@@ -94,10 +94,16 @@ class PipelineResult:
         return self.fitted[0]
 
     def report(self, k: int | None = None) -> str:
-        """Artifact-style listing of the top-k fitted functions."""
+        """Artifact-style listing of the top-k fitted functions.
+
+        Algebraically equivalent specs (same
+        :attr:`~repro.core.functions.FunctionSpec.canonical_key`) are one
+        model, listed once at the rank of its best-ranked spec.
+        """
         k = k if k is not None else self.config.top_k
         lines = [
-            f"rank {i + 1}: {f.describe()}" for i, f in enumerate(self.fitted[:k])
+            f"rank {i + 1}: {f.describe()}"
+            for i, f in enumerate(distinct_fits(self.fitted, k))
         ]
         return "\n".join(lines)
 
@@ -198,9 +204,11 @@ def obtain_policies(
 ) -> PipelineResult:
     """Run the full §3 procedure and return ranked policies.
 
-    The returned policies are named ``P1``–``Pk`` (rank order) to avoid
-    confusion with the paper's published ``F1``–``F4``, which remain
-    available as :func:`repro.policies.paper_policies`.  ``workers``,
+    The returned policies are the ``top_k`` best distinct models —
+    equivalent specs such as ``α(r)·id(n)`` and ``α(r)/inv(n)`` count
+    once — named ``P1``–``Pk`` (rank order) to avoid confusion with the
+    paper's published ``F1``–``F4``, which remain available as
+    :func:`repro.policies.paper_policies`.  ``workers``,
     ``chunk_size``, ``backend`` and ``cache`` configure the simulation
     phase exactly as in :func:`build_distribution`.
     """
@@ -222,7 +230,7 @@ def obtain_policies(
     usable = [f for f in fitted if f.rank_error < float("inf")]
     policies = [
         NonlinearPolicy(f, name=f"P{i + 1}")
-        for i, f in enumerate(usable[: config.top_k])
+        for i, f in enumerate(distinct_fits(usable, config.top_k))
     ]
     return PipelineResult(
         config=config,

@@ -1,4 +1,4 @@
-"""Weighted nonlinear regression over the function space (§3.3, Eqs. 4–5).
+"""Weighted regression over the function space (§3.3, Eqs. 4–5).
 
 For every candidate :class:`~repro.core.functions.FunctionSpec` the
 coefficients ``(c1, c2, c3)`` minimise the paper's weighted error
@@ -13,11 +13,40 @@ a large amount of resources … have a potential of blocking the execution
 of many smaller tasks".  Candidates are then ranked by the unweighted
 mean absolute error of Eq. 5.
 
-The artifact used SciPy's ``leastsq`` (Levenberg–Marquardt); we use its
-maintained successor :func:`scipy.optimize.least_squares` with
-Jacobian-based variable scaling, restarting from a small grid of initial
-magnitudes because the coefficient scales vary over ~10 orders of
-magnitude across the 576 specs.
+**Exact solve.**  The artifact ran SciPy's iterative ``leastsq``, but
+every candidate ``(c1 α) op1 (c2 β) op2 (c3 γ)`` is *linear* in a
+reparameterisation ``k`` of its coefficients
+(:data:`~repro.core.functions.REPARAMETERISATION`; ``α, β, γ`` are the
+base images of ``r, n, s``):
+
+========  ==========================  ====================
+op1 op2   model                       coefficients
+========  ==========================  ====================
+``+ +``   k1·α + k2·β + k3·γ          c = (k1, k2, k3)
+``+ ·``   k1·αγ + k2·βγ               c = (k1, k2, 1)
+``+ ÷``   k1·α/γ + k2·β/γ             c = (k1, k2, 1)
+``· +``   k1·αβ + k2·γ                c = (k1, 1, k2)
+``· ·``   k1·αβγ                      c = (k1, 1, 1)
+``· ÷``   k1·αβ/γ                     c = (k1, 1, 1)
+``÷ +``   k1·α/β + k2·γ               c = (k1, 1, k2)
+``÷ ·``   k1·αγ/β                     c = (k1, 1, 1)
+``÷ ÷``   k1·α/(βγ)                   c = (k1, 1, 1)
+========  ==========================  ====================
+
+So Eq. 4's optimum is one weighted linear least-squares problem per
+candidate, solved exactly with :func:`numpy.linalg.lstsq` on the
+``r·n``-weighted design columns.  The coefficients a product or quotient
+makes redundant are fixed at 1, which changes how a fit prints, never
+the fitted function.  ``rank_error`` and ``weighted_sse`` are computed
+by evaluating the spec (:meth:`FunctionSpec.evaluate`) on the mapped-back
+coefficients, with the same clipped residual as always.
+
+**Infeasible divisors.**  A candidate whose divisor base is zero
+(``|x| <`` :data:`~repro.core.functions.ZERO_DIVISOR`) on some
+observation — ``/log(n)`` with ``n = 1`` is the case that occurs — has
+no finite model value on that row, so it cannot be fitted: it is
+returned with infinite ``rank_error``/``weighted_sse`` and NaN
+coefficients.  Its rows are not dropped.
 """
 
 from __future__ import annotations
@@ -26,10 +55,15 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from repro.core.distribution import ScoreDistribution
-from repro.core.functions import FittedFunction, FunctionSpec, enumerate_function_space
+from repro.core.functions import (
+    REPARAMETERISATION,
+    ZERO_DIVISOR,
+    FittedFunction,
+    FunctionSpec,
+    enumerate_function_space,
+)
 
 __all__ = ["RegressionConfig", "fit_function", "fit_all", "rank_error"]
 
@@ -41,15 +75,9 @@ class RegressionConfig:
     """Fitting knobs (defaults reproduce the paper's setup)."""
 
     weighted: bool = True  # Eq. 4's (r*n) weight
-    x0_magnitudes: tuple[float, ...] = (1.0, 1e-3, 1e-6)
-    max_nfev: int = 200
     max_points: int = 20000  # deterministic subsample bound
     subsample_seed: int = 0
     bases: tuple[str, ...] = field(default=())  # empty = full Table 1 space
-
-    def initial_guesses(self) -> list[np.ndarray]:
-        """Starting points tried for every spec (best fit kept)."""
-        return [np.full(3, m) for m in self.x0_magnitudes]
 
 
 def rank_error(predicted: np.ndarray, score: np.ndarray) -> float:
@@ -62,20 +90,37 @@ def rank_error(predicted: np.ndarray, score: np.ndarray) -> float:
     return float(err.mean())
 
 
-def _residual_fn(
+def _solve(
     spec: FunctionSpec,
-    r: np.ndarray,
-    n: np.ndarray,
-    s: np.ndarray,
+    terms: tuple[np.ndarray, np.ndarray, np.ndarray],
     y: np.ndarray,
     w: np.ndarray,
-) -> Callable[[np.ndarray], np.ndarray]:
-    def residuals(coeffs: np.ndarray) -> np.ndarray:
-        f = spec.evaluate(coeffs, r, n, s)
-        res = w * (f - y)
-        return np.where(np.isfinite(res), np.clip(res, -_PENALTY, _PENALTY), _PENALTY)
-
-    return residuals
+) -> np.ndarray | None:
+    """Eq. 4's exact optimum ``(c1, c2, c3)``; ``None`` if infeasible."""
+    columns, slots = REPARAMETERISATION[(spec.op1, spec.op2)]
+    divisors = {slot for column in columns for slot, power in column if power < 0}
+    if any(np.any(np.abs(terms[slot]) < ZERO_DIVISOR) for slot in divisors):
+        return None
+    design = np.empty((len(y), len(columns)))
+    for j, column in enumerate(columns):
+        col = w
+        for slot, power in column:
+            col = col * terms[slot] if power > 0 else col / terms[slot]
+        design[:, j] = col
+    target = w * y
+    if not (np.isfinite(design).all() and np.isfinite(target).all()):
+        return None
+    # unit-norm columns keep lstsq's rank cutoff scale-free: column
+    # magnitudes differ by ~10 orders across the space
+    norms = np.linalg.norm(design, axis=0)
+    norms[norms == 0.0] = 1.0
+    try:
+        k = np.linalg.lstsq(design / norms, target, rcond=None)[0] / norms
+    except np.linalg.LinAlgError:  # pragma: no cover - SVD non-convergence
+        return None
+    coeffs = np.ones(3)
+    coeffs[list(slots)] = k
+    return coeffs
 
 
 def fit_function(
@@ -85,10 +130,10 @@ def fit_function(
 ) -> FittedFunction:
     """Fit one candidate function to the score distribution.
 
-    Never raises on optimiser failure: a candidate that cannot be fitted
-    is returned with infinite rank error, so enumeration always completes
-    (mirroring the artifact, which simply reported every candidate's
-    fitness).
+    Never raises: a candidate that cannot be fitted (an infeasible
+    divisor, see the module docstring) is returned with infinite rank
+    error, so enumeration always completes (mirroring the artifact,
+    which simply reported every candidate's fitness).
     """
     config = config or RegressionConfig()
     data = dist.subsample(config.max_points, seed=config.subsample_seed)
@@ -101,25 +146,8 @@ def fit_function(
     else:
         w = np.ones_like(y)
 
-    residuals = _residual_fn(spec, r, n, s, y, w)
-    best_cost = np.inf
-    best_coeffs: np.ndarray | None = None
-    for x0 in config.initial_guesses():
-        try:
-            sol = least_squares(
-                residuals,
-                x0,
-                method="trf",
-                x_scale="jac",
-                max_nfev=config.max_nfev,
-            )
-        except Exception:  # pragma: no cover - scipy internal failures
-            continue
-        if np.isfinite(sol.cost) and sol.cost < best_cost:
-            best_cost = float(sol.cost)
-            best_coeffs = sol.x
-
-    if best_coeffs is None:
+    coeffs = _solve(spec, spec.terms(r, n, s), y, w)
+    if coeffs is None:
         return FittedFunction(
             spec=spec,
             coeffs=(np.nan, np.nan, np.nan),
@@ -128,12 +156,14 @@ def fit_function(
             n_observations=len(data),
         )
 
-    predicted = spec.evaluate(best_coeffs, r, n, s)
+    predicted = spec.evaluate(coeffs, r, n, s)
+    res = w * (predicted - y)
+    res = np.where(np.isfinite(res), np.clip(res, -_PENALTY, _PENALTY), _PENALTY)
     return FittedFunction(
         spec=spec,
-        coeffs=tuple(float(c) for c in best_coeffs),
+        coeffs=tuple(float(c) for c in coeffs),
         rank_error=rank_error(predicted, y),
-        weighted_sse=2.0 * best_cost,  # least_squares cost = 0.5 * SSE
+        weighted_sse=float(res @ res),
         n_observations=len(data),
     )
 

@@ -16,10 +16,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as np
-from scipy.stats import kendalltau
 
 from repro.policies.base import Policy
 from repro.sim.job import Workload
+from repro.util.stats import kendall_tau_b
 
 __all__ = ["policy_scores", "rank_agreement", "agreement_matrix"]
 
@@ -57,8 +57,7 @@ def rank_agreement(
     order, -1 = reversed, ~0 = unrelated)."""
     sa = policy_scores(a, workload, now=now, use_estimates=use_estimates)
     sb = policy_scores(b, workload, now=now, use_estimates=use_estimates)
-    tau = kendalltau(sa, sb).statistic
-    return float(tau)
+    return kendall_tau_b(sa, sb)
 
 
 def agreement_matrix(
@@ -83,6 +82,5 @@ def agreement_matrix(
     mat = np.eye(k)
     for i in range(k):
         for j in range(i + 1, k):
-            tau = float(kendalltau(scores[i], scores[j]).statistic)
-            mat[i, j] = mat[j, i] = tau
+            mat[i, j] = mat[j, i] = kendall_tau_b(scores[i], scores[j])
     return [p.name for p in policies], mat

@@ -268,3 +268,65 @@ def ascii_boxplot(
         lines.append(f"{label:>{label_w}} {''.join(row)} median={s.median:.2f}")
     axis = f"{'':>{label_w}} {lo:<12.4g}{'':^{max(width - 24, 0)}}{hi:>12.4g}"
     return "\n".join(lines + [axis])
+
+
+def _tied_pairs(change: np.ndarray) -> int:
+    """Pairs inside runs of a sorted sequence; *change* marks the
+    positions where consecutive items differ."""
+    runs = np.diff(np.flatnonzero(np.r_[True, change, True]))
+    return int((runs * (runs - 1) // 2).sum())
+
+
+def _inversions(ranks: np.ndarray) -> int:
+    """Pairs ``i < j`` with ``ranks[i] > ranks[j]`` for ranks in ``[0, n]``.
+
+    Bottom-up merge counting, one vectorised pass per level: at width
+    ``w`` every right-half element of a ``2w`` block counts the larger
+    elements of its left half, found by one ``searchsorted`` over all
+    left halves sorted at once (block-offset keys never interleave).
+    """
+    n = len(ranks)
+    pos = np.arange(n, dtype=np.int64)
+    total = 0
+    width = 1
+    while width < n:
+        block = pos // (2 * width)
+        right = (pos // width) % 2 == 1
+        keys = block * (n + 1) + ranks
+        left = np.sort(keys[~right])
+        not_greater = np.searchsorted(left, keys[right], side="right") - np.searchsorted(
+            left, block[right] * (n + 1), side="left"
+        )
+        total += int((width - not_greater).sum())
+        width *= 2
+    return total
+
+
+def kendall_tau_b(x: np.ndarray | list[float], y: np.ndarray | list[float]) -> float:
+    """Kendall's tau-b rank correlation of two equal-length samples.
+
+    Ties are handled as in tau-b: ``(concordant - discordant) /
+    sqrt((pairs - x ties) * (pairs - y ties))``.  NaN when undefined
+    (fewer than two items, a NaN input, or a constant sample).
+    O(n log² n).
+    """
+    xs = np.asarray(x, dtype=float).ravel()
+    ys = np.asarray(y, dtype=float).ravel()
+    if xs.shape != ys.shape:
+        raise ValueError(f"samples differ in length: {xs.size} vs {ys.size}")
+    n = xs.size
+    if n < 2 or np.isnan(xs).any() or np.isnan(ys).any():
+        return float("nan")
+    order = np.lexsort((ys, xs))  # by x, ties in x by y: those never invert
+    xs, ys = xs[order], ys[order]
+    pairs = n * (n - 1) // 2
+    x_ties = _tied_pairs(xs[1:] != xs[:-1])
+    y_sorted = np.sort(ys)
+    y_ties = _tied_pairs(y_sorted[1:] != y_sorted[:-1])
+    if x_ties == pairs or y_ties == pairs:
+        return float("nan")
+    joint_ties = _tied_pairs((xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1]))
+    discordant = _inversions(np.searchsorted(y_sorted, ys))
+    con_minus_dis = pairs - x_ties - y_ties + joint_ties - 2 * discordant
+    tau = con_minus_dis / math.sqrt(pairs - x_ties) / math.sqrt(pairs - y_ties)
+    return min(1.0, max(-1.0, tau))

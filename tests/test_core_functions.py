@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from repro.core.functions import (
     BASE_FUNCTION_NAMES,
     OPERATOR_NAMES,
+    REPARAMETERISATION,
     FittedFunction,
     FunctionSpec,
     apply_base,
+    distinct_fits,
     enumerate_function_space,
 )
 
@@ -141,6 +143,60 @@ class TestEnumeration:
         assert FunctionSpec("sqrt", "id", "log", "*", "+") in specs
         assert FunctionSpec("id", "id", "log", "*", "+") in specs
         assert FunctionSpec("id", "sqrt", "log", "*", "+") in specs
+
+
+class TestReparameterisation:
+    @given(
+        st.sampled_from(BASE_FUNCTION_NAMES),
+        st.sampled_from(BASE_FUNCTION_NAMES),
+        st.sampled_from(BASE_FUNCTION_NAMES),
+        st.sampled_from(OPERATOR_NAMES),
+        st.sampled_from(OPERATOR_NAMES),
+        st.lists(st.floats(-3.0, 3.0).filter(lambda c: abs(c) > 0.1), min_size=3, max_size=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_linear_in_design_columns(self, a, b, g, o1, o2, k):
+        """f(c) with the redundant coefficients at 1 is Σ k_j · column_j."""
+        spec = FunctionSpec(a, b, g, o1, o2)
+        columns, slots = REPARAMETERISATION[(o1, o2)]
+        r, n, s = np.array([3.0, 40.0]), np.array([2.0, 17.0]), np.array([50.0, 900.0])
+        terms = spec.terms(r, n, s)
+        coeffs = np.ones(3)
+        coeffs[list(slots)] = k[: len(slots)]
+        expected = sum(
+            kj * np.prod([terms[slot] ** power for slot, power in column], axis=0)
+            for kj, column in zip(k, columns)
+        )
+        np.testing.assert_allclose(spec.evaluate(coeffs, r, n, s), expected, rtol=1e-12)
+
+
+class TestCanonicalKey:
+    def test_product_equals_division_by_inverse(self):
+        for alpha in BASE_FUNCTION_NAMES:
+            a = FunctionSpec(alpha, "id", "log", "*", "+")
+            b = FunctionSpec(alpha, "inv", "log", "/", "+")
+            assert a.canonical_key == b.canonical_key
+
+    def test_log_divisor_differs_from_log_factor(self):
+        a = FunctionSpec("id", "log", "log", "*", "+")
+        b = FunctionSpec("id", "log", "log", "/", "+")
+        assert a.canonical_key != b.canonical_key
+
+    def test_space_has_400_distinct_models(self):
+        assert len({sp.canonical_key for sp in enumerate_function_space()}) == 400
+
+    def test_distinct_fits_keeps_first_of_each_model(self):
+        def fit(spec, err):
+            return FittedFunction(spec, (1.0, 1.0, 1.0), err, err, 1)
+
+        ranked = [
+            fit(FunctionSpec("id", "id", "log", "*", "+"), 1.0),
+            fit(FunctionSpec("id", "inv", "log", "/", "+"), 1.0),
+            fit(FunctionSpec("log", "id", "log", "*", "+"), 2.0),
+            fit(FunctionSpec("sqrt", "id", "log", "*", "+"), 3.0),
+        ]
+        assert distinct_fits(ranked, 2) == [ranked[0], ranked[2]]
+        assert distinct_fits(ranked, 10) == [ranked[0], ranked[2], ranked[3]]
 
 
 class TestFittedFunction:

@@ -11,7 +11,7 @@ SMALL = PipelineConfig(
     n_tuples=2,
     trials_per_tuple=32,
     seed=0,
-    regression=RegressionConfig(max_points=200, x0_magnitudes=(1e-3,), max_nfev=60),
+    regression=RegressionConfig(max_points=200),
 )
 
 
@@ -90,3 +90,35 @@ class TestObtainPolicies:
         algebraically equivalent alternatives)."""
         top = result.fitted[0].spec
         assert top.gamma in ("log", "sqrt", "id")  # a growing submit term
+
+
+class TestDistinctPolicies:
+    """Equivalent specs (``α(r)·id(n) ≡ α(r)/inv(n)``) fit the same
+    model; the top-k policies and the report list each model once."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        from repro.specs import TrainSpec
+
+        np.seterr(all="ignore")
+        return obtain_policies(TrainSpec(scale="small").to_pipeline_config())
+
+    def test_fitted_keeps_every_candidate(self, small):
+        assert len(small.fitted) == 576
+
+    def test_ranking_has_equivalent_neighbours(self, small):
+        """Guard for the test below: undeduplicated, the top 4 repeat a model."""
+        keys = [f.spec.canonical_key for f in small.fitted[:4]]
+        assert len(set(keys)) < 4
+
+    def test_policies_pairwise_distinct(self, small):
+        keys = [p.fitted.spec.canonical_key for p in small.policies]
+        assert [p.name for p in small.policies] == ["P1", "P2", "P3", "P4"]
+        assert len(set(keys)) == 4
+        assert small.policies[0].fitted is small.best
+
+    def test_report_lists_the_policies(self, small):
+        lines = small.report().splitlines()
+        assert lines == [
+            f"rank {i + 1}: {p.fitted.describe()}" for i, p in enumerate(small.policies)
+        ]

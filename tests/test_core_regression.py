@@ -70,6 +70,57 @@ class TestFitFunction:
         assert fit.spec == spec  # returned, not raised
         assert np.isfinite(fit.rank_error) or fit.rank_error == float("inf")
 
+    def test_closed_form_hits_weighted_optimum(self):
+        """Eq. 4's optimum: perturbing the fit never lowers the weighted SSE."""
+        spec = FunctionSpec("sqrt", "log", "log", "*", "+")
+        truth = FunctionSpec("id", "id", "log", "*", "+")
+        dist = planted_distribution(truth, (1e-3, 1e-2, 5.0), noise=0.05)
+        fit = fit_function(spec, dist)
+        r, n, s, y = dist.runtime, dist.size, dist.submit, dist.score
+        w = r * n / (r * n).mean()
+        for c in (np.asarray(fit.coeffs) * (1 + d) for d in (1e-3, -1e-3)):
+            res = w * (spec.evaluate(c, r, n, s) - y)
+            assert res @ res > fit.weighted_sse
+
+    @pytest.mark.parametrize(
+        "ops, free",
+        [
+            (("+", "+"), (0, 1, 2)),
+            (("+", "*"), (0, 1)),
+            (("+", "/"), (0, 1)),
+            (("*", "+"), (0, 2)),
+            (("/", "+"), (0, 2)),
+            (("*", "*"), (0,)),
+            (("*", "/"), (0,)),
+            (("/", "*"), (0,)),
+            (("/", "/"), (0,)),
+        ],
+    )
+    def test_redundant_coefficients_fixed_at_one(self, ops, free):
+        spec = FunctionSpec("log", "sqrt", "log", *ops)
+        dist = planted_distribution(FunctionSpec("id", "id", "log", "*", "+"), (1e-3, 1e-2, 5.0))
+        fit = fit_function(spec, dist)
+        fixed = [c for i, c in enumerate(fit.coeffs) if i not in free]
+        assert fixed == [1.0] * len(fixed)
+
+    def test_zero_divisor_is_infeasible(self):
+        """log10(1) = 0: a /log(n) candidate has no finite model on n = 1
+        rows, so it is reported unfittable rather than fitted around them."""
+        planted = planted_distribution(FunctionSpec("id", "id", "log", "*", "+"), (1e-3, 1e-2, 5.0))
+        size = planted.size.copy()
+        size[::50] = 1.0
+        dist = ScoreDistribution(
+            runtime=planted.runtime, size=size, submit=planted.submit, score=planted.score
+        )
+        for ops in (("/", "+"), ("/", "*"), ("/", "/")):
+            fit = fit_function(FunctionSpec("id", "log", "log", *ops), dist)
+            assert fit.rank_error == float("inf")
+            assert fit.weighted_sse == float("inf")
+            assert np.isnan(fit.coeffs).all()
+        # the same bases with log(n) as a factor, or a nonzero divisor, fit
+        assert np.isfinite(fit_function(FunctionSpec("id", "log", "log", "*", "+"), dist).rank_error)
+        assert np.isfinite(fit_function(FunctionSpec("id", "inv", "log", "/", "+"), dist).rank_error)
+
     def test_subsample_bound_respected(self):
         spec = FunctionSpec("id", "id", "id", "+", "+")
         dist = planted_distribution(spec, (1, 1, 1), n=500)
@@ -117,7 +168,7 @@ class TestFitAll:
 
     def test_bases_filter(self, planted):
         _, dist = planted
-        config = RegressionConfig(bases=("id", "log"), max_points=50, x0_magnitudes=(1e-3,))
+        config = RegressionConfig(bases=("id", "log"), max_points=50)
         ranked = fit_all(dist, config=config)
         assert len(ranked) == 2**3 * 9  # 2 bases^3 slots * 9 operator combos
         for f in ranked:

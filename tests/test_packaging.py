@@ -1,0 +1,49 @@
+"""Declared dependencies match what the code imports."""
+
+import os
+import re
+import subprocess
+import sys
+import tomllib
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _names(requirements: list[str]) -> set[str]:
+    return {re.split(r"[<>=!~\[; ]", req.strip(), maxsplit=1)[0] for req in requirements}
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is a test-only dependency: the CLI (and every worker that
+    imports the library) must start without it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    code = (
+        "import sys, repro.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_runtime_dependencies_are_numpy_only():
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text("utf-8"))["project"]
+    assert _names(project["dependencies"]) == {"numpy"}
+    lines = (ROOT / "requirements.txt").read_text("utf-8").splitlines()
+    assert _names([ln for ln in lines if ln.strip() and not ln.startswith("#")]) == {"numpy"}
+
+
+def test_test_extra_and_console_script():
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text("utf-8"))["project"]
+    assert _names(project["optional-dependencies"]["test"]) == {
+        "pytest",
+        "pytest-benchmark",
+        "hypothesis",
+        "scipy",
+    }
+    assert project["scripts"] == {"repro-sched": "repro.cli:main"}

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.util.stats import (
+    kendall_tau_b,
     ascii_boxplot,
     bootstrap_mean_ci,
     boxplot_stats,
@@ -183,3 +184,39 @@ class TestBootstrapMeanCI:
         a = bootstrap_mean_ci(sample, n_boot=100, seed=as_generator(3))
         b = bootstrap_mean_ci(sample, n_boot=100, seed=as_generator(3))
         assert a == b
+
+
+class TestKendallTauB:
+    def test_perfect_agreement_and_reversal(self):
+        x = np.arange(10.0)
+        assert kendall_tau_b(x, 2 * x + 1) == pytest.approx(1.0)
+        assert kendall_tau_b(x, -x) == pytest.approx(-1.0)
+
+    def test_hand_computed_with_ties(self):
+        # 6 pairs: 1 tied in x, 1 tied in y, 3 concordant, 1 discordant
+        x = [1.0, 1.0, 2.0, 3.0]
+        y = [1.0, 2.0, 3.0, 2.0]
+        assert kendall_tau_b(x, y) == pytest.approx(2 / 5)
+
+    def test_undefined_is_nan(self):
+        assert np.isnan(kendall_tau_b([1.0], [2.0]))
+        assert np.isnan(kendall_tau_b([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]))
+        assert np.isnan(kendall_tau_b([1.0, np.nan], [1.0, 2.0]))
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            kendall_tau_b([1.0, 2.0], [1.0])
+
+    def test_matches_scipy_on_tie_heavy_vectors(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            n = int(rng.integers(2, 300))
+            x = rng.integers(0, int(rng.integers(1, 12)), n).astype(float)
+            y = x * rng.integers(-1, 2) + rng.integers(0, int(rng.integers(1, 6)), n)
+            expected = stats.kendalltau(x, y).statistic
+            got = kendall_tau_b(x, y)
+            if np.isnan(expected):
+                assert np.isnan(got)
+            else:
+                assert got == pytest.approx(expected, rel=1e-12, abs=1e-15)
