@@ -74,19 +74,29 @@ def _timing_stats(bench) -> dict | None:
     return out or None
 
 
-def _jobs_per_sec(registry: MetricsRegistry, stats: dict | None) -> float | None:
+def _jobs_per_sec(
+    registry: MetricsRegistry,
+    stats: dict | None,
+    jobs_per_invocation: int | None = None,
+) -> float | None:
     """Derived throughput: jobs simulated per second of median wall time.
 
-    Single-shot benches (rounds == 1) ran exactly once, so the counters
-    *are* the invocation's totals.  Multi-round micro-benches also ran
-    warm-up/calibration invocations the counters saw but the timing
-    statistics did not, so per-invocation jobs are recovered as the
-    jobs-per-engine-run (or per-trial) ratio — exact whenever every
-    invocation does identical work, which the micro-benches do.
+    The median is the time of one *invocation* of the benched function,
+    so the numerator must be the jobs of one invocation too.  A bench
+    that declares ``extra_info["jobs"]`` states that figure directly;
+    batched benches must, since one invocation runs many trials.
+    Otherwise single-shot benches (rounds == 1) ran exactly once, so the
+    counters *are* the invocation's totals, and multi-round
+    micro-benches (whose counters also saw warm-up/calibration
+    invocations the timing statistics did not) recover it as the
+    jobs-per-engine-run (or per-trial) ratio — exact when every
+    invocation is one engine run or one trial.
     """
     median = (stats or {}).get("median") or 0.0
     if median <= 0:
         return None
+    if jobs_per_invocation:
+        return jobs_per_invocation / median
     jobs = registry.value("sim.jobs_completed") + registry.value("listsched.jobs")
     if not jobs:
         return None
@@ -116,14 +126,15 @@ def bench_telemetry(results_dir, scale, request):
         return
     stats = _timing_stats(bench)
     name = request.node.name.removeprefix("bench_")
+    extra_info = dict(getattr(bench, "extra_info", {}) or {})
     doc = {
         "schema": BENCH_SCHEMA,
         "name": request.node.name,
         "scale": scale.name,
         "machine": machine_info(),
         "stats": stats,
-        "jobs_per_sec": _jobs_per_sec(registry, stats),
-        "extra_info": dict(getattr(bench, "extra_info", {}) or {}),
+        "jobs_per_sec": _jobs_per_sec(registry, stats, extra_info.get("jobs")),
+        "extra_info": extra_info,
         "telemetry": registry.to_dict(),
     }
     path = results_dir / f"BENCH_{name}.json"

@@ -15,7 +15,11 @@ counts, seeding, window accounting — shows up as a byte difference.
 
 When a C toolchain is available the kernel run is additionally repeated
 with ``REPRO_SIM_KERNEL=c`` and ``=python`` and both must match, so the
-compiled backend is held to the same bar as the pure-Python loop.
+compiled backend is held to the same bar as the pure-Python loop.  The
+policies include the dynamic WFP3, which the compiled backend rescores
+itself.  The frozen loop has no hybrid backfilling, so a second matrix
+over ``--backfill hybrid`` is byte-compared between the two backends
+only.
 
 Usage: ``python scripts/check_kernel_parity.py`` (exit 0 on parity).
 """
@@ -32,14 +36,13 @@ sys.path.insert(0, str(REPO / "src"))
 sys.path.insert(0, str(REPO / "tests"))
 
 TRACE = REPO / "tests" / "data" / "ctc_tiny.swf"
+ORACLE_BACKFILL = "none,easy,conservative"
 EVALUATE_ARGS = [
     "evaluate",
     "--trace",
     str(TRACE),
     "--policies",
-    "fcfs,spt,f1",
-    "--backfill",
-    "none,easy,conservative",
+    "fcfs,spt,f1,wfp3",
     "--window-jobs",
     "50",
     "--warmup",
@@ -49,7 +52,9 @@ EVALUATE_ARGS = [
 ]
 
 
-def run_matrix_json(output_dir: Path, *, use_oracle: bool, backend: str) -> bytes:
+def run_matrix_json(
+    output_dir: Path, *, use_oracle: bool, backend: str, backfill: str = ORACLE_BACKFILL
+) -> bytes:
     import oracle_sim
 
     import repro.eval.matrix as matrix_mod
@@ -65,6 +70,7 @@ def run_matrix_json(output_dir: Path, *, use_oracle: bool, backend: str) -> byte
         with tempfile.TemporaryDirectory() as cache:
             rc = main(
                 EVALUATE_ARGS
+                + ["--backfill", backfill]
                 + ["--cache", cache, "--output-dir", str(output_dir)]
             )
     finally:
@@ -79,6 +85,7 @@ def run_matrix_json(output_dir: Path, *, use_oracle: bool, backend: str) -> byte
 def main_check() -> int:
     from repro.sim import _cbackend
 
+    failed = []
     with tempfile.TemporaryDirectory() as tmp:
         tmp_path = Path(tmp)
         oracle = run_matrix_json(
@@ -87,16 +94,35 @@ def main_check() -> int:
         runs = {"kernel[python]": run_matrix_json(
             tmp_path / "kernel-py", use_oracle=False, backend="python"
         )}
-        if _cbackend.load() is not None:
+        have_c = _cbackend.load() is not None
+        if have_c:
             runs["kernel[c]"] = run_matrix_json(
                 tmp_path / "kernel-c", use_oracle=False, backend="c"
             )
         else:
             print("note: no C toolchain; compiled backend not exercised")
-        failed = [name for name, data in runs.items() if data != oracle]
         for name, data in runs.items():
             status = "MATCH" if data == oracle else "DIFFERS"
             print(f"{name}: {len(data)} bytes vs legacy loop -> {status}")
+            if data != oracle:
+                failed.append(name)
+        if have_c:
+            hybrid = {
+                backend: run_matrix_json(
+                    tmp_path / f"hybrid-{backend}",
+                    use_oracle=False,
+                    backend=backend,
+                    backfill="hybrid",
+                )
+                for backend in ("python", "c")
+            }
+            status = "MATCH" if hybrid["c"] == hybrid["python"] else "DIFFERS"
+            print(
+                f"hybrid kernel[c]: {len(hybrid['c'])} bytes vs kernel[python]"
+                f" -> {status}"
+            )
+            if hybrid["c"] != hybrid["python"]:
+                failed.append("hybrid kernel[c]")
     if failed:
         print(f"kernel parity FAILED for: {', '.join(failed)}", file=sys.stderr)
         return 1

@@ -32,12 +32,18 @@ class WFP3(Policy):
 
     name = "WFP"
     dynamic = True
+    #: The C kernel (``repro.sim._cbackend``) transcribes these scores
+    #: operation for operation, so WFP3 runs off the Python event loop.
+    kernel_score = "wfp3"
 
     def scores(self, now, submit, proc, size):
         wait = np.maximum(float(now) - np.asarray(submit, dtype=float), 0.0)
         proc = np.maximum(np.asarray(proc, dtype=float), _MIN_PROC)
         size = np.asarray(size, dtype=float)
-        return -((wait / proc) ** 3) * size  # repro: allow[REP007] dynamic policy, Python-kernel path only; cube matches paper formula and never reaches the C backend
+        # the cube as two multiplications: IEEE `*` rounds identically in
+        # numpy and C, where `**` may go through libm pow
+        x = wait / proc
+        return -(x * x * x) * size
 
 
 class UNICEF(Policy):

@@ -1,19 +1,23 @@
 """Compiled C fast path for the event-heap simulation kernel.
 
 :mod:`repro.sim.kernel` runs every *static-score* simulation — classic
-and learned policies, EASY/conservative backfilling, and the
-fixed-priority trial simulator — through one C event loop compiled at
-first use with the system C compiler and loaded via :mod:`ctypes`
-(stdlib only; no build-time or install-time dependency is added).  The
-C loop is a line-for-line transcription of the Python kernel: every
-floating-point operation it performs (additions, comparisons, the
-``1e-9``/``1e-12`` epsilons of the backfill helpers) exists identically
-in the Python path, so results are **bit-identical** — the parity suite
+and learned policies, the fixed-priority trial simulator — and every
+WFP3 simulation, under each backfill mode (none, EASY, conservative,
+hybrid), through one C event loop compiled at first use with the
+system C compiler and loaded via :mod:`ctypes` (stdlib only; no
+build-time or install-time dependency is added).  The C loop is a
+line-for-line transcription of the Python kernel: every floating-point
+operation it performs (additions, comparisons, the ``1e-9``/``1e-12``
+epsilons of the backfill helpers, WFP3's ``max``/``/``/``*`` score
+arithmetic) exists identically in the Python path, and
+``-ffp-contract=off`` keeps the compiler from fusing any of it, so
+results are **bit-identical** — the parity suite
 (``tests/test_sim_kernel_parity.py``) enforces this against the frozen
-pre-kernel oracle for both backends.  Dynamic policies never reach C:
-their scores come from numpy ufunc kernels whose bit patterns a libm
-reimplementation cannot reproduce, so they stay on the vectorised
-Python path.
+pre-kernel oracle for both backends.  A dynamic run appends arrivals
+unsorted and rescores + sorts the whole queue before each pass, like
+the Python loop's ``np.lexsort``.  UNICEF's ``log2`` has no bit-exact
+libm counterpart, so UNICEF (and any untagged dynamic policy) stays on
+the vectorised Python path.
 
 Selection and caching:
 
@@ -22,8 +26,8 @@ Selection and caching:
   it cannot be built), ``python`` (never use C).
 * ``REPRO_CKERNEL_DIR`` — override the build cache directory (default
   ``~/.cache/repro/ckernel``).  The shared object is keyed by a hash of
-  the embedded source, built in a temp file and atomically renamed, so
-  concurrent processes race benignly.
+  the embedded source and the compile command, built in a temp file and
+  atomically renamed, so concurrent processes race benignly.
 """
 
 from __future__ import annotations
@@ -67,17 +71,34 @@ static int ev_cmp(const void *a, const void *b)
     return 0;
 }
 
+/* A waiting-queue entry keyed by (score, submit, job) — the Python
+ * bisect tuples and np.lexsort((q, sq, sc)); keys are unique (job is). */
+typedef struct { double s, sub; i64 i; } Qe;
+
+static int qe_cmp(const void *a, const void *b)
+{
+    const Qe *x = (const Qe *)a, *y = (const Qe *)b;
+    if (x->s < y->s) return -1;
+    if (x->s > y->s) return 1;
+    if (x->sub < y->sub) return -1;
+    if (x->sub > y->sub) return 1;
+    return (x->i > y->i) - (x->i < y->i);
+}
+
 typedef struct {
     i64 n, nmax;
-    int mode; /* 0 none, 1 easy, 2 conservative */
+    int mode;       /* 0 none, 1 easy, 2 conservative, 3 hybrid */
+    int score_code; /* 0 static scores, 1 WFP3 rescored every pass */
+    i64 depth;      /* hybrid: queue positions that always reserve */
     const double *subs, *runs, *procs, *scores;
     const i64 *sizes, *order;
     double *start;
     unsigned char *backfilled;
     /* completion min-heap ordered by (time, job) like heapq tuples */
     double *h_t; i64 *h_i; i64 hn;
-    /* waiting queue kept sorted by (score, submit, job); qh = front */
-    double *q_s, *q_sub; i64 *q_i; i64 qh, qn;
+    /* waiting queue from q[qh]; static scores keep it sorted on insert,
+     * dynamic ones append and rescore + sort before each pass */
+    Qe *q; i64 qh, qn;
     /* running set, unordered with swap-removal (order never observable:
      * both backfill helpers sort or sum over it) */
     double *r_end; i64 *r_size, *r_job, *r_pos; i64 rn;
@@ -123,35 +144,57 @@ static i64 h_pop(Sim *S)
     return top;
 }
 
-/* bisect_left on (score, submit, job) keys — keys are unique (job is). */
+/* bisect_left on (score, submit, job) keys */
 static void q_insert(Sim *S, i64 idx)
 {
-    double sc = S->scores[idx], sb = S->subs[idx];
+    Qe e = { S->scores[idx], S->subs[idx], idx };
     i64 lo = S->qh, hi = S->qh + S->qn;
     while (lo < hi) {
         i64 mid = (lo + hi) >> 1;
-        int less;
-        if (S->q_s[mid] != sc) less = S->q_s[mid] < sc;
-        else if (S->q_sub[mid] != sb) less = S->q_sub[mid] < sb;
-        else less = S->q_i[mid] < idx;
-        if (less) lo = mid + 1; else hi = mid;
+        if (qe_cmp(&S->q[mid], &e) < 0) lo = mid + 1; else hi = mid;
     }
-    i64 end = S->qh + S->qn;
-    memmove(S->q_s + lo + 1, S->q_s + lo, (size_t)(end - lo) * sizeof(double));
-    memmove(S->q_sub + lo + 1, S->q_sub + lo, (size_t)(end - lo) * sizeof(double));
-    memmove(S->q_i + lo + 1, S->q_i + lo, (size_t)(end - lo) * sizeof(i64));
-    S->q_s[lo] = sc; S->q_sub[lo] = sb; S->q_i[lo] = idx;
+    memmove(S->q + lo + 1, S->q + lo, (size_t)(S->qh + S->qn - lo) * sizeof(Qe));
+    S->q[lo] = e;
     S->qn++;
+}
+
+/* WFP3 (repro.policies.adhoc), operation for operation in the same
+ * order: w = max(now - submit, 0), p = max(proc, 1), x = w / p, score
+ * -(x*x*x) * size.  Then order the queue like np.lexsort((q, sq, sc)),
+ * by insertion sort: the queue is still sorted from the previous pass
+ * apart from the arrivals appended since (score -0, so they already
+ * sit last), and two queued jobs swap at most once in a whole run
+ * (score a < score b  <=>  (now - s_a) c_a > (now - s_b) c_b with
+ * c = n^(1/3) / p, linear in now), so few entries move per pass. */
+static void rescore(Sim *S)
+{
+    Qe *q = S->q + S->qh;
+    for (i64 k = 0; k < S->qn; k++) {
+        i64 idx = q[k].i;
+        double w = S->now - q[k].sub;
+        if (w < 0.0) w = 0.0;
+        double p = S->procs[idx];
+        if (p < 1.0) p = 1.0;
+        double x = w / p;
+        q[k].s = -(x * x * x) * (double)S->sizes[idx];
+    }
+    for (i64 k = 1; k < S->qn; k++) {
+        Qe e = q[k];
+        i64 j = k;
+        while (j > 0 && qe_cmp(&q[j - 1], &e) > 0) {
+            q[j] = q[j - 1];
+            j--;
+        }
+        q[j] = e;
+    }
 }
 
 static void compact_queue(Sim *S)
 {
     i64 w = S->qh, end = S->qh + S->qn;
     for (i64 p = S->qh; p < end; p++) {
-        i64 idx = S->q_i[p];
-        if (!isnan(S->start[idx])) continue; /* started this pass */
-        S->q_s[w] = S->q_s[p]; S->q_sub[w] = S->q_sub[p]; S->q_i[w] = idx;
-        w++;
+        if (!isnan(S->start[S->q[p].i])) continue; /* started this pass */
+        S->q[w++] = S->q[p];
     }
     S->qn = w - S->qh;
 }
@@ -195,7 +238,7 @@ static void complete(Sim *S, i64 idx)
 static int easy_pass(Sim *S)
 {
     double now = S->now;
-    i64 head = S->q_i[S->qh];
+    i64 head = S->q[S->qh].i;
     i64 head_size = S->sizes[head];
     S->n_passes++;
     for (i64 k = 0; k < S->rn; k++) {
@@ -219,7 +262,7 @@ static int easy_pass(Sim *S)
     if (!found) return 3;
     i64 end_pos = S->qh + S->qn, n_started = 0;
     for (i64 p = S->qh + 1; p < end_pos; p++) {
-        i64 idx = S->q_i[p];
+        i64 idx = S->q[p].i;
         i64 sz = S->sizes[idx];
         if (sz > S->free_cores) continue;
         if (now + S->procs[idx] <= shadow + 1e-9) {
@@ -261,11 +304,14 @@ static void ensure_bp(Sim *S, double t)
     S->pn++;
 }
 
+/* Conservative (mode 2) and hybrid (mode 3) replan.  Hybrid is
+ * repro.sim.backfill.hybrid_starts: a job reserves its slot only when
+ * it sits in the first `depth` queue positions or starts now. */
 static int conservative_pass(Sim *S)
 {
     double now = S->now;
     S->n_passes++;
-    i64 head = S->q_i[S->qh];
+    i64 head = S->q[S->qh].i;
     i64 used_now = 0;
     for (i64 k = 0; k < S->rn; k++) {
         double e = S->r_end[k];
@@ -289,7 +335,7 @@ static int conservative_pass(Sim *S)
     }
     i64 end_pos = S->qh + S->qn, n_started = 0;
     for (i64 p = S->qh; p < end_pos; p++) {
-        i64 idx = S->q_i[p];
+        i64 idx = S->q[p].i;
         i64 sz = S->sizes[idx];
         double dur = S->procs[idx];
         if (dur < 1e-9) dur = 1e-9;
@@ -305,27 +351,30 @@ static int conservative_pass(Sim *S)
             }
             if (feas) { t0r = t0; break; }
         }
-        double endr = t0r + dur;
-        ensure_bp(S, t0r);
-        ensure_bp(S, endr);
-        /* decrement from the exact start breakpoint forward (mirrors
-         * AvailabilityProfile.reserve): an epsilon lower bound could
-         * also catch a distinct breakpoint within 1e-12 *before* t0r
-         * that the earliest-start scan never vetted */
-        i64 i0 = -1;
-        for (i64 i = 0; i < S->pn; i++)
-            if (S->p_t[i] == t0r) { i0 = i; break; }
-        if (i0 < 0)
-            for (i64 i = 0; i < S->pn; i++)
-                if (fabs(S->p_t[i] - t0r) <= 1e-12) { i0 = i; break; }
-        for (i64 i = i0; i < S->pn; i++) {
-            if (S->p_t[i] >= endr - 1e-12) break;
-            S->p_f[i] -= sz;
-            if (S->p_f[i] < 0) return 4;
-        }
         /* exact: slots strictly after now sit behind unprocessed
          * release events (mirrors conservative_starts) */
-        if (t0r == now) {
+        int starts_now = t0r == now;
+        if (S->mode == 2 || p - S->qh < S->depth || starts_now) {
+            double endr = t0r + dur;
+            ensure_bp(S, t0r);
+            ensure_bp(S, endr);
+            /* decrement from the exact start breakpoint forward (mirrors
+             * AvailabilityProfile.reserve): an epsilon lower bound could
+             * also catch a distinct breakpoint within 1e-12 *before* t0r
+             * that the earliest-start scan never vetted */
+            i64 i0 = -1;
+            for (i64 i = 0; i < S->pn; i++)
+                if (S->p_t[i] == t0r) { i0 = i; break; }
+            if (i0 < 0)
+                for (i64 i = 0; i < S->pn; i++)
+                    if (fabs(S->p_t[i] - t0r) <= 1e-12) { i0 = i; break; }
+            for (i64 i = i0; i < S->pn; i++) {
+                if (S->p_t[i] >= endr - 1e-12) break;
+                S->p_f[i] -= sz;
+                if (S->p_f[i] < 0) return 4;
+            }
+        }
+        if (starts_now) {
             int rc = start_job(S, idx, idx != head);
             if (rc) return rc;
             n_started++;
@@ -352,21 +401,29 @@ static int sim_run(Sim *S)
         S->n_events++;
         while (S->hn > 0 && S->h_t[0] <= now) complete(S, h_pop(S));
         while (ai < n && S->subs[S->order[ai]] <= now) {
-            q_insert(S, S->order[ai]);
-            ai++;
+            i64 idx = S->order[ai++];
+            if (S->score_code) {
+                Qe e = { 0.0, S->subs[idx], idx };
+                S->q[S->qh + S->qn++] = e;
+            } else {
+                q_insert(S, idx);
+            }
         }
         if (S->qn == 0) continue;
-        if (S->mode == 2) {
+        if (S->mode >= 2) {
+            if (S->score_code) rescore(S);
             int rc = conservative_pass(S);
             if (rc) return rc;
             continue;
         }
         /* every job needs >= 1 core: a full machine cannot start anything,
-         * and skipping the pass changes no counters (n_events already
-         * counted; backfill passes require free > 0) */
+         * and skipping the pass (and a dynamic rescoring) changes no
+         * counters (n_events already counted; backfill passes require
+         * free > 0) */
         if (S->free_cores == 0) continue;
+        if (S->score_code) rescore(S);
         while (S->qn > 0) {
-            i64 idx = S->q_i[S->qh];
+            i64 idx = S->q[S->qh].i;
             if (S->sizes[idx] > S->free_cores) break;
             int rc = start_job(S, idx, 0);
             if (rc) return rc;
@@ -381,7 +438,7 @@ static int sim_run(Sim *S)
     return 0;
 }
 
-int repro_sim(i64 n, i64 nmax, int mode,
+int repro_sim(i64 n, i64 nmax, int mode, i64 depth, int score_code,
               const double *subs, const double *runs, const double *procs,
               const i64 *sizes, const double *scores, const i64 *order,
               double *start, unsigned char *backfilled, i64 *counters)
@@ -390,35 +447,37 @@ int repro_sim(i64 n, i64 nmax, int mode,
     counters[1] = 0;
     if (n <= 0) return 0;
     size_t nd = (size_t)n;
-    double *dbuf = (double *)malloc((nd + 4 * nd + nd + (3 * nd + 4)) * sizeof(double));
-    i64 *ibuf = (i64 *)malloc((nd + 2 * nd + 3 * nd + (3 * nd + 4)) * sizeof(i64));
+    /* h_t, r_end, p_t | h_i, r_size, r_job, r_pos, p_f | queue | events;
+     * a profile holds at most 1 + n running ends + 2n reservation ends */
+    double *dbuf = (double *)malloc((nd + nd + (3 * nd + 4)) * sizeof(double));
+    i64 *ibuf = (i64 *)malloc((nd + 3 * nd + (3 * nd + 4)) * sizeof(i64));
+    Qe *q = (Qe *)malloc(2 * nd * sizeof(Qe));
     Ev *ev = (Ev *)malloc(nd * sizeof(Ev));
-    if (!dbuf || !ibuf || !ev) {
-        free(dbuf); free(ibuf); free(ev);
+    if (!dbuf || !ibuf || !q || !ev) {
+        free(dbuf); free(ibuf); free(q); free(ev);
         return 1;
     }
     Sim S;
     memset(&S, 0, sizeof(S));
     S.n = n; S.nmax = nmax; S.mode = mode;
+    S.depth = depth; S.score_code = score_code;
     S.subs = subs; S.runs = runs; S.procs = procs;
     S.sizes = sizes; S.scores = scores; S.order = order;
     S.start = start; S.backfilled = backfilled;
     S.h_t = dbuf;
-    S.q_s = dbuf + nd;
-    S.q_sub = dbuf + nd + 2 * nd;
-    S.r_end = dbuf + nd + 4 * nd;
-    S.p_t = dbuf + nd + 4 * nd + nd;
+    S.r_end = dbuf + nd;
+    S.p_t = dbuf + 2 * nd;
     S.h_i = ibuf;
-    S.q_i = ibuf + nd;
-    S.r_size = ibuf + nd + 2 * nd;
-    S.r_job = ibuf + nd + 3 * nd;
-    S.r_pos = ibuf + nd + 4 * nd;
-    S.p_f = ibuf + nd + 5 * nd;
+    S.r_size = ibuf + nd;
+    S.r_job = ibuf + 2 * nd;
+    S.r_pos = ibuf + 3 * nd;
+    S.p_f = ibuf + 4 * nd;
+    S.q = q;
     S.ev = ev;
     int rc = sim_run(&S);
     counters[0] = S.n_events;
     counters[1] = S.n_passes;
-    free(dbuf); free(ibuf); free(ev);
+    free(dbuf); free(ibuf); free(q); free(ev);
     return rc;
 }
 
@@ -428,11 +487,12 @@ int repro_fixed_batch(i64 n_trials, i64 m, i64 nmax,
 {
     if (m <= 0 || n_trials <= 0) return 0;
     size_t md = (size_t)m;
-    double *dbuf = (double *)malloc((md + 4 * md) * sizeof(double));
-    i64 *ibuf = (i64 *)malloc((md + 2 * md) * sizeof(i64));
+    double *h_t = (double *)malloc(md * sizeof(double));
+    i64 *h_i = (i64 *)malloc(md * sizeof(i64));
+    Qe *q = (Qe *)malloc(2 * md * sizeof(Qe));
     unsigned char *bf = (unsigned char *)malloc(md);
-    if (!dbuf || !ibuf || !bf) {
-        free(dbuf); free(ibuf); free(bf);
+    if (!h_t || !h_i || !q || !bf) {
+        free(h_t); free(h_i); free(q); free(bf);
         return 1;
     }
     Sim S;
@@ -441,11 +501,9 @@ int repro_fixed_batch(i64 n_trials, i64 m, i64 nmax,
     S.subs = subs; S.runs = runs; S.procs = runs;
     S.sizes = sizes; S.order = order;
     S.backfilled = bf;
-    S.h_t = dbuf;
-    S.q_s = dbuf + md;
-    S.q_sub = dbuf + md + 2 * md;
-    S.h_i = ibuf;
-    S.q_i = ibuf + md;
+    S.h_t = h_t;
+    S.h_i = h_i;
+    S.q = q;
     int rc = 0;
     for (i64 t = 0; t < n_trials; t++) {
         S.scores = prios + t * m;
@@ -453,7 +511,7 @@ int repro_fixed_batch(i64 n_trials, i64 m, i64 nmax,
         rc = sim_run(&S);
         if (rc) break;
     }
-    free(dbuf); free(ibuf); free(bf);
+    free(h_t); free(h_i); free(q); free(bf);
     return rc;
 }
 """
@@ -494,18 +552,33 @@ def _find_compiler() -> str | None:
     return None
 
 
-def _build(so_path: Path) -> None:
+#: Compiler flags.  ``-ffp-contract=off`` forbids fusing ``a * b + c``
+#: into an FMA, which rounds once where the Python path rounds twice.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+
+def _compile_command(cc: str, out: str, src: str) -> list[str]:
+    return [cc, *_CFLAGS, "-o", out, src, "-lm"]
+
+
+def _so_path(cc: str) -> Path:
+    """Cache path keyed by the source *and* the compile command, so a
+    shared object built with other flags or another compiler is never
+    reused."""
+    key = "\0".join([_C_SOURCE, *_compile_command(cc, "OUT", "SRC")])
+    digest = hashlib.sha256(key.encode()).hexdigest()[:16]
+    return cache_dir() / f"simkernel-{digest}.so"
+
+
+def _build(cc: str, so_path: Path) -> None:
     """Compile the embedded source to *so_path* (atomic via rename)."""
-    cc = _find_compiler()
-    if cc is None:
-        raise CBackendUnavailable("no C compiler found (set $CC or install gcc)")
     so_path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_c = tempfile.mkstemp(suffix=".c", dir=so_path.parent)
     tmp_so = tmp_c[:-2] + ".so"
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(_C_SOURCE)
-        cmd = [cc, "-O2", "-fPIC", "-shared", "-o", tmp_so, tmp_c, "-lm"]
+        cmd = _compile_command(cc, tmp_so, tmp_c)
         proc = subprocess.run(cmd, capture_output=True, text=True)
         if proc.returncode != 0:
             raise CBackendUnavailable(
@@ -526,10 +599,13 @@ class CKernel:
     def __init__(self, lib: ctypes.CDLL) -> None:
         self._sim = lib.repro_sim
         self._sim.restype = ctypes.c_int
-        self._sim.argtypes = (
-            [ctypes.c_longlong, ctypes.c_longlong, ctypes.c_int]
-            + [ctypes.c_void_p] * 9
-        )
+        self._sim.argtypes = [
+            ctypes.c_longlong,
+            ctypes.c_longlong,
+            ctypes.c_int,
+            ctypes.c_longlong,
+            ctypes.c_int,
+        ] + [ctypes.c_void_p] * 9
         self._batch = lib.repro_fixed_batch
         self._batch.restype = ctypes.c_int
         self._batch.argtypes = [
@@ -544,11 +620,15 @@ class CKernel:
         runs: np.ndarray,
         procs: np.ndarray,
         sizes: np.ndarray,
-        scores: np.ndarray,
+        scores: np.ndarray | None,
         order: np.ndarray,
         nmax: int,
         mode: int,
+        depth: int,
+        score_code: int,
     ) -> tuple[np.ndarray, np.ndarray, int, int]:
+        """One simulation; *scores* is ``None`` when *score_code* names a
+        dynamic scorer the loop computes itself."""
         n = subs.shape[0]
         start = np.empty(n, dtype=np.float64)
         backfilled = np.zeros(n, dtype=np.uint8)
@@ -557,11 +637,13 @@ class CKernel:
             n,
             nmax,
             mode,
+            depth,
+            score_code,
             subs.ctypes.data,
             runs.ctypes.data,
             procs.ctypes.data,
             sizes.ctypes.data,
-            scores.ctypes.data,
+            None if scores is None else scores.ctypes.data,
             order.ctypes.data,
             start.ctypes.data,
             backfilled.ctypes.data,
@@ -619,10 +701,12 @@ def load() -> CKernel | None:
             raise CBackendUnavailable("C kernel unavailable (earlier build failed)")
         return _cached  # type: ignore[return-value]
     try:
-        digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
-        so_path = cache_dir() / f"simkernel-{digest}.so"
+        cc = _find_compiler()
+        if cc is None:
+            raise CBackendUnavailable("no C compiler found (set $CC or install gcc)")
+        so_path = _so_path(cc)
         if not so_path.is_file():
-            _build(so_path)
+            _build(cc, so_path)
         _cached = CKernel(ctypes.CDLL(str(so_path)))
     except Exception as exc:
         _cached = None

@@ -17,8 +17,9 @@ Design notes
   the **whole workload in one** ``policy.scores`` call before the event
   loop starts; the kernel keeps the queue sorted by
   ``(score, submit, index)``.  Dynamic policies are rescored per
-  scheduling pass with one array call over the entire queue.  Both paths
-  are bit-identical to the retained legacy loop (``tests/oracle_sim.py``).
+  scheduling pass over the entire queue: WFP3 inside the compiled C
+  loop, others with one array call on the Python loop.  Every path is
+  bit-identical to the retained legacy loop (``tests/oracle_sim.py``).
 * Scheduling decisions use the user estimate ``e`` when
   ``use_estimates=True`` (§4.2.2); execution always uses the actual
   runtime ``r``.

@@ -29,11 +29,12 @@ Scoring is vectorised at the batch level: *static* scores (policies
 whose score is independent of ``now``) are computed for the whole
 workload in **one** ``policy.scores`` call before the loop starts, and
 *dynamic* policies are rescored per pass with one array call over the
-entire queue — never per job.  Static-score simulations additionally
-dispatch to a compiled C transcription of the same loop
-(:mod:`repro.sim._cbackend`, ``REPRO_SIM_KERNEL`` selects the backend);
-dynamic ones stay on the Python path because their numpy score bits are
-not reproducible from libm.
+entire queue — never per job.  Simulations dispatch to a compiled C
+transcription of the same loop (:mod:`repro.sim._cbackend`,
+``REPRO_SIM_KERNEL`` selects the backend) for static scores and for
+WFP3, which the C loop rescores itself with the same IEEE operations;
+other dynamic policies (UNICEF's ``log2`` is not reproducible bit for
+bit from libm) stay on the Python loop.
 
 The kernel records no telemetry itself: the engine and trial wrappers
 increment the same counters (``sim.*``, ``listsched.*``) with the same
@@ -50,6 +51,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from repro.sim import _cbackend
+from repro.sim.backfill import HYBRID_RESERVATION_DEPTH
 
 __all__ = [
     "KernelResult",
@@ -59,10 +61,13 @@ __all__ = [
     "validate_scores",
 ]
 
-#: Canonical backfill mode -> integer code shared with the C backend.
-#: The C transcription implements codes 0-2; ``hybrid`` (3) always runs
-#: on the Python path, even under ``REPRO_SIM_KERNEL=c``.
+#: Canonical backfill mode -> integer code shared with the C backend,
+#: which implements all four.
 _MODE_CODES = {None: 0, "easy": 1, "conservative": 2, "hybrid": 3}
+
+#: Dynamic scorers the C backend transcribes, by the ``kernel_score`` tag
+#: of the policy class that defines ``scores`` -> the C ``score_code``.
+_SCORE_CODES = {"wfp3": 1}
 
 
 class KernelResult(NamedTuple):
@@ -91,6 +96,24 @@ def validate_scores(scores: np.ndarray, label: str = "score") -> None:
             f"{label} for job {job}{trial} is NaN; NaN never sorts, so the"
             " waiting-queue order would be silently corrupted"
         )
+
+
+def _score_code(scorer) -> int:
+    """The C backend's code for a dynamic *scorer*, or 0 if only the
+    Python loop can run it.
+
+    *scorer* is a bound ``Policy.scores``; the tag is read from the class
+    that defines that method, so a subclass overriding ``scores`` never
+    inherits its parent's C transcription.
+    """
+    owner = getattr(scorer, "__self__", None)
+    func = getattr(scorer, "__func__", None)
+    if owner is None or func is None:
+        return 0
+    for klass in type(owner).__mro__:
+        if vars(klass).get("scores") is func:
+            return _SCORE_CODES.get(vars(klass).get("kernel_score"), 0)
+    return 0
 
 
 def _as_f64(arr) -> np.ndarray:
@@ -132,15 +155,15 @@ def simulate_events(
     scorer:
         Batch scoring callable ``scorer(now, submit, proc, size)`` for
         dynamic policies, applied to the entire queue once per
-        scheduling pass.
+        scheduling pass.  A bound ``scores`` of a policy class tagged
+        with a ``kernel_score`` the C backend transcribes (WFP3) runs
+        in C without calling it.
     backfill:
         ``None``, ``"easy"``, ``"conservative"`` or ``"hybrid"``
         (canonical spellings only — use
         :func:`repro.sim.engine.normalize_backfill`).  Hybrid replans
         like conservative but reserves only the queue front
-        (:data:`repro.sim.backfill.HYBRID_RESERVATION_DEPTH` jobs); it
-        has no C transcription, so it runs the Python path regardless
-        of ``REPRO_SIM_KERNEL``.
+        (:data:`repro.sim.backfill.HYBRID_RESERVATION_DEPTH` jobs).
     arrival_order:
         Indices sorted by ``(submit, index)``.  Defaults to ``0..n-1``
         (correct for submit-sorted workloads).
@@ -162,16 +185,21 @@ def simulate_events(
     if static_scores is not None:
         static_scores = _as_f64(static_scores)
         validate_scores(static_scores, score_label)
-        backend = (
-            None
-            if mode == 3 or _cbackend.requested_mode() == "python"
-            else _cbackend.load()
+        score_code = 0
+    else:
+        score_code = _score_code(scorer)
+    in_c = static_scores is not None or score_code != 0
+    backend = (
+        _cbackend.load()
+        if in_c and _cbackend.requested_mode() != "python"
+        else None
+    )
+    if backend is not None:
+        start, backfilled, n_events, n_passes = backend.sim(
+            submit, runtime, proc, size, static_scores, arrival_order, nmax, mode,
+            HYBRID_RESERVATION_DEPTH, score_code,
         )
-        if backend is not None:
-            start, backfilled, n_events, n_passes = backend.sim(
-                submit, runtime, proc, size, static_scores, arrival_order, nmax, mode
-            )
-            return KernelResult(start, backfilled, n_events, n_passes)
+        return KernelResult(start, backfilled, n_events, n_passes)
     return _simulate_py(
         submit, runtime, proc, size, nmax, mode, static_scores, scorer, arrival_order
     )
@@ -258,7 +286,8 @@ def _simulate_py(
     scorer,
     order: np.ndarray,
 ) -> KernelResult:
-    """The pure-Python event loop (dynamic policies and C-less hosts)."""
+    """The pure-Python event loop (dynamic policies without a C
+    transcription, C-less hosts and ``REPRO_SIM_KERNEL=python``)."""
     from repro.sim.backfill import hybrid_starts
     from repro.sim.cluster import Cluster
     from repro.sim.conservative import conservative_starts

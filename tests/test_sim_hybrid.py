@@ -5,8 +5,8 @@ Hybrid sits between EASY and conservative: the first
 reservations, deeper jobs backfill opportunistically with none.  The
 tests pin the algebra — ``depth >= len(queue)`` *is* conservative, and a
 hand-computed scenario separates all three modes — plus the engine
-integration (the hybrid mode always runs the Python kernel, even when
-``REPRO_SIM_KERNEL=c``).
+integration (the C backend runs hybrid, byte-identical to the Python
+loop).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.policies.registry import get_policy
-from repro.sim import _cbackend
+from repro.sim import _cbackend, kernel
 from repro.sim.backfill import (
     HYBRID_RESERVATION_DEPTH,
     easy_backfill,
@@ -177,20 +177,36 @@ class TestEngineIntegration:
         assert outs["hybrid"] != outs["conservative"]
 
     @pytest.mark.skipif(not HAVE_C, reason="no C toolchain on this host")
-    def test_c_backend_request_falls_back_to_python(self, monkeypatch):
-        """The C kernel implements modes 0-2 only; hybrid must run the
-        Python path under REPRO_SIM_KERNEL=c, byte-identical to an
-        explicit python run."""
+    def test_hybrid_and_wfp3_run_in_c(self, monkeypatch):
+        """Under REPRO_SIM_KERNEL=c, hybrid backfilling and the dynamic
+        WFP3 never reach the Python event loop, yet match an explicit
+        python run byte for byte; UNICEF (its log2 has no bit-exact C
+        transcription) still falls back to Python."""
         rng = np.random.default_rng(3)
         w = Workload.from_arrays(
             submit=np.sort(np.round(rng.uniform(0, 20, 60), 1)),
             runtime=np.round(rng.uniform(0.5, 30.0, 60), 2),
             size=rng.integers(1, 9, 60),
         )
-        policy = get_policy("fcfs")
+        cases = [("fcfs", "hybrid")] + [
+            ("wfp3", mode) for mode in ("none", "easy", "conservative", "hybrid")
+        ]
         monkeypatch.setenv("REPRO_SIM_KERNEL", "python")
-        want = simulate(w, policy, 8, backfill="hybrid")
+        want = {
+            (name, mode): simulate(w, get_policy(name), 8, backfill=mode)
+            for name, mode in cases
+        }
+
+        def python_loop(*args, **kwargs):
+            raise AssertionError("the Python event loop was reached")
+
         monkeypatch.setenv("REPRO_SIM_KERNEL", "c")
-        got = simulate(w, policy, 8, backfill="hybrid")
-        assert got.start.tobytes() == want.start.tobytes()
-        assert got.n_events == want.n_events
+        monkeypatch.setattr(kernel, "_simulate_py", python_loop)
+        for name, mode in cases:
+            got = simulate(w, get_policy(name), 8, backfill=mode)
+            ref = want[(name, mode)]
+            assert got.start.tobytes() == ref.start.tobytes()
+            assert got.backfilled.tobytes() == ref.backfilled.tobytes()
+            assert got.n_events == ref.n_events
+        with pytest.raises(AssertionError, match="Python event loop"):
+            simulate(w, get_policy("unicef"), 8, backfill="hybrid")

@@ -9,7 +9,11 @@ approximately: bit-identical results are the refactor's acceptance bar
 The sweep covers {static/dynamic policy} x {none/easy/conservative
 backfill} x {actual/estimated runtimes} x nmax in {1, 17, 256} on seeded
 random workloads, on every available kernel backend (pure Python always;
-the compiled C backend when a toolchain is present).
+the compiled C backend when a toolchain is present).  Two C-vs-Python
+checks run at the sizes where bugs live: a 2,000-job SDSC-Blue block
+with user estimates, and a hypothesis fuzz over workloads of up to 300
+jobs that also compares against the oracle (hybrid, which the oracle
+lacks, is compared between the backends only).
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracle_sim import oracle_fixed_priority, oracle_simulate
 
 from repro.obs import MetricsRegistry, use_registry
@@ -30,6 +36,7 @@ from repro.sim.listsched import (
     simulate_fixed_priority,
     simulate_fixed_priority_batch,
 )
+from repro.workloads.traces import synthetic_trace
 
 HAVE_C = _cbackend.load() is not None
 
@@ -171,6 +178,64 @@ class TestEngineParity:
             assert registry.value("sim.jobs_completed") == len(w)
             assert registry.value("sim.backfill_passes") == want.n_backfill_passes
             assert registry.value("sim.backfilled") == int(want.backfilled.sum())
+
+
+def _backend_outcome(backend, workload, policy, nmax, *, use_estimates, backfill):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_SIM_KERNEL", backend)
+        return _kernel_outcome(
+            workload, policy, nmax, use_estimates=use_estimates, backfill=backfill
+        )
+
+
+@pytest.mark.skipif(not HAVE_C, reason="no C toolchain on this host")
+class TestBackendParityAtScale:
+    """C vs Python on one 2,000-job SDSC-Blue block with user estimates:
+    queues hundreds deep and thousands of backfill passes, which the
+    small seeded sweep above never reaches."""
+
+    @pytest.fixture(scope="class")
+    def block(self) -> Workload:
+        return synthetic_trace("sdsc_blue", seed=1, n_jobs=2000)
+
+    @pytest.mark.parametrize("backfill", ["none", "easy", "conservative", "hybrid"])
+    @pytest.mark.parametrize("policy_name", ["wfp3", "fcfs", "f1"])
+    def test_c_matches_python(self, block, policy_name, backfill):
+        policy = get_policy(policy_name)
+        want, got = (
+            _backend_outcome(
+                backend, block, policy, block.nmax, use_estimates=True,
+                backfill=backfill,
+            )
+            for backend in ("python", "c")
+        )
+        _assert_bit_identical(got, want)
+        assert np.isfinite(got.start).all()
+
+
+@pytest.mark.skipif(not HAVE_C, reason="no C toolchain on this host")
+class TestDifferentialFuzz:
+    """C, Python and the frozen oracle on random workloads up to 300 jobs."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 300),
+        nmax=st.sampled_from(NMAXES),
+        policy_name=st.sampled_from(["wfp3", "fcfs", "f1", "spt"]),
+        backfill=st.sampled_from(["none", "easy", "conservative", "hybrid"]),
+        use_estimates=st.booleans(),
+    )
+    def test_backends_and_oracle_agree(
+        self, seed, n, nmax, policy_name, backfill, use_estimates
+    ):
+        w = _random_workload(np.random.default_rng(seed), n, nmax)
+        policy = get_policy(policy_name)
+        kw = dict(use_estimates=use_estimates, backfill=backfill)
+        got = _backend_outcome("c", w, policy, nmax, **kw)
+        _assert_bit_identical(got, _backend_outcome("python", w, policy, nmax, **kw))
+        if backfill != "hybrid":
+            _assert_bit_identical(got, oracle_simulate(w, policy, nmax, **kw))
 
 
 class TestListschedParity:
@@ -334,6 +399,32 @@ class TestCBackendGate:
             1,
         )
         assert out.tolist() == [[0.0, 2.0]]
+
+    def test_score_code_follows_the_defining_class(self):
+        from repro.policies.adhoc import WFP3
+        from repro.sim.kernel import _score_code
+
+        class Renamed(WFP3):
+            name = "WFP-renamed"
+
+        class Overridden(WFP3):
+            def scores(self, now, submit, proc, size):
+                return -super().scores(now, submit, proc, size)
+
+        assert _score_code(WFP3().scores) == 1
+        assert _score_code(Renamed().scores) == 1
+        # an override is not what the C backend transcribes
+        assert _score_code(Overridden().scores) == 0
+        assert _score_code(get_policy("unicef").scores) == 0
+        assert _score_code(lambda now, s, p, n: s) == 0
+
+    def test_build_cache_keyed_by_compile_command(self, monkeypatch):
+        assert "-ffp-contract=off" in _cbackend._CFLAGS
+        key = _cbackend._so_path("cc")
+        assert key.name.startswith("simkernel-") and key.suffix == ".so"
+        assert _cbackend._so_path("clang") != key
+        monkeypatch.setattr(_cbackend, "_CFLAGS", ("-O3", "-fPIC", "-shared"))
+        assert _cbackend._so_path("cc") != key
 
 
 class TestProfileDustRegression:
