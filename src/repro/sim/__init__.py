@@ -13,13 +13,14 @@ Public surface:
 Both simulators are thin configurations of the unified event-heap
 kernel in :mod:`~repro.sim.kernel` (``REPRO_SIM_KERNEL`` selects the
 compiled or pure-Python backend; results are bit-identical).  The
-resource model is pluggable (:mod:`~repro.sim.platform`): the paper's
-flat machine, topology-partitioned per-leaf schedulers, and the
-heterogeneous prototype all account cores through the shared
-:class:`~repro.sim.cluster.Cluster` leaf allocator.  The
-:mod:`~repro.sim.backfill`, :mod:`~repro.sim.conservative` and
-:mod:`~repro.sim.events` modules remain the property-tested reference
-pieces the kernel's semantics are defined against.
+paper's flat machine is one kernel call; a topology-partitioned machine
+(:mod:`~repro.sim.platform`) is one kernel call per leaf.  The
+heterogeneous prototype (:mod:`~repro.sim.hetero`) keeps its own
+dispatcher loop, because choosing a variant per start is not a kernel
+mode.  The :mod:`~repro.sim.backfill`, :mod:`~repro.sim.conservative`
+and :mod:`~repro.sim.cluster` modules are the property-tested reference
+pieces: the Python kernel loop calls them directly, and the C backend
+transcribes them.
 """
 
 from repro.sim.backfill import (
@@ -31,7 +32,6 @@ from repro.sim.backfill import (
 from repro.sim.conservative import AvailabilityProfile, conservative_starts
 from repro.sim.cluster import Cluster
 from repro.sim.engine import ScheduleResult, SimulationConfig, simulate
-from repro.sim.events import CompletionQueue
 from repro.sim.hetero import (
     ArchSpec,
     HeteroJob,
@@ -44,9 +44,7 @@ from repro.sim.hetero import (
 )
 from repro.sim.platform import (
     DISTRIBUTIONS,
-    FlatPlatform,
     PartitionedPlatform,
-    Platform,
     distribute_jobs,
     normalize_topology,
     platform_identity,
@@ -76,10 +74,8 @@ __all__ = [
     "ArchSpec",
     "AvailabilityProfile",
     "Cluster",
-    "CompletionQueue",
     "DEFAULT_TAU",
     "DISTRIBUTIONS",
-    "FlatPlatform",
     "HYBRID_RESERVATION_DEPTH",
     "HeteroJob",
     "HeteroPlatform",
@@ -87,7 +83,6 @@ __all__ = [
     "Job",
     "KernelResult",
     "PartitionedPlatform",
-    "Platform",
     "ScheduleResult",
     "SimulationConfig",
     "Workload",

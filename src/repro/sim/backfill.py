@@ -15,11 +15,10 @@ The implementation is a pure function over plain arrays so it can be
 property-tested in isolation from the event loop (see
 ``tests/sim/test_backfill.py`` for the "head never delayed" invariant).
 
-Since the kernel refactor this module is the *reference* EASY
-implementation: the unified event loop (:mod:`repro.sim.kernel`, both
-the vectorised Python path and the C backend) inlines the same shadow
-arithmetic for speed, and the parity suite pins it to these semantics
-bit for bit.
+This module is the *single* Python EASY implementation: the unified
+event loop's Python path (:mod:`repro.sim.kernel`) calls
+:func:`easy_backfill` on every EASY pass, and the C backend transcribes
+the same shadow arithmetic; the parity suite pins the two bit for bit.
 
 Besides EASY this module also defines :func:`hybrid_starts`, the
 *hybrid* backfilling variant (``backfill="hybrid"``): the first
@@ -33,7 +32,7 @@ the oracle tests pin).
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from repro.sim.conservative import AvailabilityProfile
 
@@ -95,9 +94,9 @@ def easy_backfill(
     now: float,
     free: int,
     head_size: int,
-    candidates: Sequence[int],
-    cand_size: Sequence[int],
-    cand_proc: Sequence[float],
+    candidates: Iterable[int],
+    cand_size: Iterable[int],
+    cand_proc: Iterable[float],
     running_end: Sequence[float],
     running_size: Sequence[int],
 ) -> list[int]:
@@ -115,7 +114,8 @@ def easy_backfill(
         Job indices *in queue priority order*, excluding the head.
     cand_size, cand_proc:
         Cores and (requested) processing time per candidate, aligned with
-        *candidates*.
+        *candidates*.  Any iterables: they are consumed lazily and the
+        scan stops once no core is free, so generators skip the tail.
     running_end, running_size:
         Expected completion time and size of every running job.
 

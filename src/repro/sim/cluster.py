@@ -8,11 +8,11 @@ all times).
 
 It is the *single* free-core accounting implementation: the unified
 kernel's Python event loop (:mod:`repro.sim.kernel`) allocates and
-releases through a ``Cluster`` instance, and every
-:class:`~repro.sim.platform.Platform` pool — the flat machine, each
-topology leaf, each heterogeneous architecture — is one ``Cluster``.
-(The C backend transcribes the same counter arithmetic; the parity suite
-pins the two bit for bit.)
+releases through a ``Cluster`` instance — one for the flat machine, one
+per leaf of a partitioned machine — and each architecture pool of a
+:class:`~repro.sim.hetero.HeteroPlatform` is one ``Cluster``.  (The C
+backend transcribes the same counter arithmetic; the parity suite pins
+the two bit for bit.)
 """
 
 from __future__ import annotations

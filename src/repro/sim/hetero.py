@@ -6,10 +6,13 @@ as GPUs and MICs, where multiple implementations, aiming a specific
 architecture, are available for the same task and the scheduler needs to
 select one of these implementations to be executed".
 
-This module is a working prototype of that setting, built on the same
-abstractions as the homogeneous engine:
+This module is a working prototype of that setting, written in the same
+idioms as the homogeneous kernel (:mod:`repro.sim.kernel`): a ``heapq``
+of ``(finish, job)`` completions and one batch ``policy.scores`` call
+per scheduling pass.
 
-* a :class:`HeteroPlatform` holds one core pool per architecture,
+* a :class:`HeteroPlatform` holds one
+  :class:`~repro.sim.cluster.Cluster` core pool per architecture,
 * a :class:`HeteroJob` carries one :class:`Variant` (runtime + resource
   requirement) per architecture it has an implementation for,
 * :func:`hetero_simulate` runs the paper's online algorithm where the
@@ -23,18 +26,24 @@ The prototype keeps head-blocking semantics: if no variant of the head
 fits, nothing overtakes it (no backfilling), which makes its behaviour
 directly comparable with the homogeneous engine's no-backfill mode —
 tests assert exact equivalence on single-architecture platforms.
+
+It keeps its own event loop rather than a hook in the kernel: choosing
+a variant changes both the pool and the runtime of every start, so a
+shared loop would branch on its caller at every step, and the C kernel
+would need a second resource model.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.sim.events import CompletionQueue
+from repro.sim.cluster import Cluster
 from repro.sim.metrics import DEFAULT_TAU, average_bounded_slowdown, bounded_slowdown
-from repro.sim.platform import Platform
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.policies.base import Policy
@@ -70,8 +79,11 @@ class ArchSpec:
             raise ValueError("architecture name must be non-empty")
         if self.cores < 1:
             raise ValueError(f"arch {self.name!r}: cores must be >= 1")
-        if self.speedup <= 0:
-            raise ValueError(f"arch {self.name!r}: speedup must be > 0")
+        if not (math.isfinite(self.speedup) and self.speedup > 0):
+            raise ValueError(
+                f"arch {self.name!r}: speedup must be finite and > 0,"
+                f" got {self.speedup}"
+            )
 
 
 def parse_arch_specs(values: tuple[str, ...] | list[str]) -> list[ArchSpec]:
@@ -113,8 +125,10 @@ class Variant:
     size: int
 
     def __post_init__(self) -> None:
-        if self.runtime <= 0:
-            raise ValueError("variant runtime must be > 0")
+        if not (math.isfinite(self.runtime) and self.runtime > 0):
+            raise ValueError(
+                f"variant runtime must be finite and > 0, got {self.runtime}"
+            )
         if self.size < 1:
             raise ValueError("variant size must be >= 1")
 
@@ -150,14 +164,22 @@ class HeteroJob:
         return self.variants[self.reference]
 
 
-class HeteroPlatform(Platform):
+class HeteroPlatform:
     """A set of named homogeneous pools (one per architecture).
 
-    Pool construction, free-unit lookup and the conservation invariant
-    come from the shared :class:`~repro.sim.platform.Platform` base —
-    the same per-pool :class:`~repro.sim.cluster.Cluster` accounting the
-    partitioned platform's leaves use.
+    Each pool is a :class:`~repro.sim.cluster.Cluster`, so allocation
+    enforces the same conservation invariant as the kernel's Python loop.
     """
+
+    def __init__(self, pools: dict[str, int]) -> None:
+        if not pools:
+            raise ValueError("platform needs at least one pool")
+        self.pools = {name: Cluster(n) for name, n in pools.items()}
+
+    @property
+    def total_cores(self) -> int:
+        """Capacity summed over every pool."""
+        return sum(c.nmax for c in self.pools.values())
 
     def validate(self, jobs: list[HeteroJob]) -> None:
         """Every job must have >= 1 variant that can ever run."""
@@ -224,14 +246,6 @@ def _best_variant_now(
     return best[1] if best else None
 
 
-def _could_ever_fit_on_idle(job: HeteroJob, platform: HeteroPlatform) -> bool:
-    """Whether some variant fits on a fully idle machine."""
-    return any(
-        arch in platform.pools and v.size <= platform.pools[arch].nmax
-        for arch, v in job.variants.items()
-    )
-
-
 def hetero_simulate(
     jobs: list[HeteroJob],
     policy: "Policy",
@@ -259,48 +273,49 @@ def hetero_simulate(
     ref_runtime = np.array([j.ref.runtime for j in jobs])
     ref_size = np.array([float(j.ref.size) for j in jobs])
 
-    completions = CompletionQueue()
+    completions: list[tuple[float, int]] = []
     arch_of_running: dict[int, str] = {}
     queue: list[int] = []
     ai = 0
     started = 0
     now = jobs[order[0]].submit
 
-    def schedule_pass(at: float) -> None:
-        nonlocal started
-        while queue:
-            q = np.asarray(queue)
-            scores = policy.scores(at, submits[q], ref_runtime[q], ref_size[q])
-            ranked = [int(q[i]) for i in np.lexsort((q, submits[q], scores))]
-            head = ranked[0]
-            arch = _best_variant_now(jobs[head], platform, at)
-            if arch is None:
-                return  # head blocks
-            variant = jobs[head].variants[arch]
-            platform.pools[arch].allocate(head, variant.size)
-            arch_of_running[head] = arch
-            start[head] = at
-            chosen[head] = arch
-            dispatch[arch] += 1
-            completions.push(at + variant.runtime, head)
-            queue.remove(head)
-            started += 1
-
     while started < n:
-        next_arrival = jobs[order[ai]].submit if ai < n else np.inf
-        next_completion = completions.peek_time()
-        if not queue and not arch_of_running:
-            event_time = next_arrival
-        else:
-            event_time = min(next_arrival, next_completion)
-        now = max(now, event_time)
+        na = jobs[order[ai]].submit if ai < n else math.inf
+        nc = completions[0][0] if completions else math.inf
+        now = max(now, min(na, nc))
 
-        for idx in completions.pop_until(now):
+        while completions and completions[0][0] <= now:
+            _, idx = heapq.heappop(completions)
             platform.pools[arch_of_running.pop(idx)].release(idx)
         while ai < n and jobs[order[ai]].submit <= now:
             queue.append(order[ai])
             ai += 1
-        schedule_pass(now)
+        if not queue:
+            continue
+
+        # One ranking per pass: scores are elementwise and batch-stable
+        # (the policies.base contract), so ranking the queue minus the
+        # jobs already started would reproduce this order's tail.
+        q = np.asarray(queue)
+        scores = policy.scores(now, submits[q], ref_runtime[q], ref_size[q])
+        ranked = q[np.lexsort((q, submits[q], scores))].tolist()
+        pos = 0
+        while pos < len(ranked):
+            head = ranked[pos]
+            arch = _best_variant_now(jobs[head], platform, now)
+            if arch is None:
+                break  # head blocks
+            variant = jobs[head].variants[arch]
+            platform.pools[arch].allocate(head, variant.size)
+            arch_of_running[head] = arch
+            start[head] = now
+            chosen[head] = arch
+            dispatch[arch] += 1
+            heapq.heappush(completions, (now + variant.runtime, head))
+            pos += 1
+        started += pos
+        queue = ranked[pos:]
 
     return HeteroResult(jobs, start, chosen, policy.name, tau, dispatch)
 

@@ -51,12 +51,17 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from repro.sim import _cbackend
-from repro.sim.backfill import HYBRID_RESERVATION_DEPTH
+from repro.sim.backfill import (
+    HYBRID_RESERVATION_DEPTH,
+    easy_backfill,
+    hybrid_starts,
+)
+from repro.sim.cluster import Cluster
+from repro.sim.conservative import conservative_starts
 
 __all__ = [
     "KernelResult",
     "simulate_events",
-    "fixed_priority_starts",
     "fixed_priority_batch",
     "validate_scores",
 ]
@@ -135,18 +140,18 @@ def simulate_events(
     scorer: Callable[[float, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     | None = None,
     backfill: str | None = None,
-    arrival_order: np.ndarray | None = None,
-    score_label: str = "score",
 ) -> KernelResult:
     """Run one simulation through the unified event loop.
 
     Parameters
     ----------
     submit, runtime, proc, size:
-        Job attribute arrays: arrival time, actual runtime (drives
-        completions), the processing time the *scheduler* sees (drives
-        expected ends / backfill decisions; equals ``runtime`` unless
-        the caller simulates user estimates) and core count.
+        Job attribute arrays, sorted by submit time (ties keep index
+        order, as :class:`~repro.sim.job.Workload` stores them): arrival
+        time, actual runtime (drives completions), the processing time
+        the *scheduler* sees (drives expected ends / backfill decisions;
+        equals ``runtime`` unless the caller simulates user estimates)
+        and core count.
     nmax:
         Machine size in cores.  Callers validate ``size <= nmax``.
     static_scores:
@@ -164,9 +169,6 @@ def simulate_events(
         :func:`repro.sim.engine.normalize_backfill`).  Hybrid replans
         like conservative but reserves only the queue front
         (:data:`repro.sim.backfill.HYBRID_RESERVATION_DEPTH` jobs).
-    arrival_order:
-        Indices sorted by ``(submit, index)``.  Defaults to ``0..n-1``
-        (correct for submit-sorted workloads).
     """
     if (static_scores is None) == (scorer is None):
         raise ValueError("exactly one of static_scores/scorer must be given")
@@ -178,13 +180,10 @@ def simulate_events(
     n = submit.shape[0]
     if n == 0:
         return KernelResult(np.empty(0, dtype=float), np.zeros(0, dtype=bool), 0, 0)
-    if arrival_order is None:
-        arrival_order = np.arange(n, dtype=np.int64)
-    else:
-        arrival_order = _as_i64(arrival_order)
+    arrival_order = np.arange(n, dtype=np.int64)
     if static_scores is not None:
         static_scores = _as_f64(static_scores)
-        validate_scores(static_scores, score_label)
+        validate_scores(static_scores)
         score_code = 0
     else:
         score_code = _score_code(scorer)
@@ -205,31 +204,6 @@ def simulate_events(
     )
 
 
-def fixed_priority_starts(
-    submit: np.ndarray,
-    runtime: np.ndarray,
-    size: np.ndarray,
-    priority: np.ndarray,
-    nmax: int,
-    *,
-    arrival_order: np.ndarray | None = None,
-) -> np.ndarray:
-    """One head-blocking fixed-priority simulation; returns start times."""
-    submit = _as_f64(submit)
-    if arrival_order is None:
-        arrival_order = np.argsort(submit, kind="stable")
-    return simulate_events(
-        submit,
-        runtime,
-        runtime,
-        size,
-        nmax,
-        static_scores=priority,
-        arrival_order=arrival_order,
-        score_label="priority",
-    ).start
-
-
 def fixed_priority_batch(
     submit: np.ndarray,
     runtime: np.ndarray,
@@ -246,8 +220,8 @@ def fixed_priority_batch(
     alone) is computed once and shared across all trials, and the C
     backend reuses one scratch arena for the whole batch — this is the
     training inner loop's fast path.  Returns the ``(n_trials, m)``
-    start-time matrix, bit-identical to looping
-    :func:`fixed_priority_starts` row by row.
+    start-time matrix, bit-identical to one head-blocking
+    :func:`simulate_events` run per row.
     """
     submit = _as_f64(submit)
     runtime = _as_f64(runtime)
@@ -288,10 +262,6 @@ def _simulate_py(
 ) -> KernelResult:
     """The pure-Python event loop (dynamic policies without a C
     transcription, C-less hosts and ``REPRO_SIM_KERNEL=python``)."""
-    from repro.sim.backfill import hybrid_starts
-    from repro.sim.cluster import Cluster
-    from repro.sim.conservative import conservative_starts
-
     n = subs.shape[0]
     subs_l = subs.tolist()
     runs_l = runs.tolist()
@@ -433,40 +403,22 @@ def _simulate_py(
                 pos += 1
             if mode == 1 and pos < L and cluster.free > 0 and L - pos >= 2:
                 n_passes += 1
-                head_size = sizes_l[ord_list[pos]]
-                if rn == 0:
-                    raise RuntimeError(
-                        "EASY shadow with nothing running: head exceeds nmax"
-                    )
-                # Vectorised shadow: sort running (clamped end, size)
-                # pairs, then the first prefix-sum crossing head_size is
-                # the reservation — same arithmetic as
-                # repro.sim.backfill.shadow_schedule.
-                ends = np.maximum(run_end[:rn], now)
-                ordr = np.lexsort((run_size[:rn], ends))
-                csum = np.cumsum(run_size[:rn][ordr])
-                csum += cluster.free
-                k = int(np.searchsorted(csum, head_size, side="left"))
-                if k >= rn:
-                    raise RuntimeError(
-                        "EASY shadow found no feasible reservation"
-                    )
-                shadow = float(ends[ordr[k]])
-                extra = int(csum[k]) - head_size
-                for p in range(pos + 1, L):
-                    idx = ord_list[p]
-                    sz = sizes_l[idx]
-                    if sz > cluster.free:
-                        continue
-                    if now + procs_l[idx] <= shadow + 1e-9:
-                        _start(idx, True)
-                        started.add(idx)
-                    elif sz <= extra:
-                        _start(idx, True)
-                        started.add(idx)
-                        extra -= sz
-                    if cluster.free == 0:
-                        break
+                # Generators, not lists: easy_backfill stops at the first
+                # candidate that leaves no core free, so the queue tail
+                # past that point is never materialised.
+                cands = ord_list[pos + 1 :]
+                for idx in easy_backfill(
+                    now,
+                    cluster.free,
+                    sizes_l[ord_list[pos]],
+                    cands,
+                    (sizes_l[i] for i in cands),
+                    (procs_l[i] for i in cands),
+                    run_end[:rn].tolist(),
+                    run_size[:rn].tolist(),
+                ):
+                    _start(idx, True)
+                    started.add(idx)
 
         if started:
             if dynamic:

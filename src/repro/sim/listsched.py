@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.obs.metrics import current_registry
-from repro.sim.kernel import fixed_priority_batch, fixed_priority_starts, validate_scores
+from repro.sim.kernel import fixed_priority_batch, validate_scores
 
 __all__ = ["simulate_fixed_priority", "simulate_fixed_priority_batch"]
 
@@ -81,17 +81,11 @@ def simulate_fixed_priority(
     if m == 0:
         return np.empty(0, dtype=float)
     priority = np.ascontiguousarray(priority, dtype=np.float64)
+    # Checked here too, so the message names the job without a trial.
     validate_scores(priority, "priority")
-    start = fixed_priority_starts(submit, runtime, size, priority, nmax)
-
-    # Telemetry (no-op by default): per *trial*, never per job — this is
-    # the training inner loop, so two null method calls per call is the
-    # entire disabled-path cost.
-    registry = current_registry()
-    registry.inc("listsched.trials")
-    registry.inc("listsched.jobs", m)
-
-    return start
+    return simulate_fixed_priority_batch(
+        submit, runtime, size, priority[None, :], nmax
+    )[0]
 
 
 def simulate_fixed_priority_batch(

@@ -1,24 +1,22 @@
-"""Pluggable platform models: flat, topology-partitioned, heterogeneous.
+"""Topology-partitioned platforms: equal leaves, one scheduler per leaf.
 
 The paper's platform model (§3.1) is deliberately flat — ``nmax``
 homogeneous cores where the interconnection topology never constrains
 placement — and its conclusion names partitioned/heterogeneous platforms
-as the open research direction.  This module makes the resource model a
-first-class abstraction so the evaluation matrix can sweep it:
+as the open research direction.  The library simulates three resource
+models:
 
-* :class:`FlatPlatform` — the paper's machine.  One :class:`Cluster`
-  pool; the engine keeps its original bare kernel invocation for this
-  case, so flat runs stay **bit-identical** to the pre-platform code
-  path (including ``REPRO_SIM_KERNEL`` C-backend eligibility).  The CI
-  topology-smoke job byte-compares the two.
+* flat — the paper's machine, which is the bare kernel call
+  (:func:`~repro.sim.kernel.simulate_events` over the whole workload);
+  nothing in this module is involved.
 * :class:`PartitionedPlatform` — a topology tuple (e.g. ``(2, 4)`` → 8
   leaves) splits ``nmax`` cores into equal leaves; each leaf runs its
   own scheduler instance (one kernel event loop per leaf) over the jobs
   a *distribution strategy* assigned to it, and
   :func:`simulate_partitioned` merges the per-leaf completion streams
   back into one global result.
-* :class:`~repro.sim.hetero.HeteroPlatform` — named per-architecture
-  pools, rebased onto the same :class:`Platform` base.
+* heterogeneous — named per-architecture pools with their own
+  dispatcher, in :mod:`repro.sim.hetero`.
 
 Distribution strategies (:data:`DISTRIBUTIONS`) are deterministic given
 the spec: ``round_robin`` deals jobs to leaves in arrival order,
@@ -39,22 +37,18 @@ fingerprint: existing caches and spec fingerprints stay valid.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from repro.sim.cluster import Cluster
 from repro.sim.kernel import KernelResult, simulate_events
 from repro.util.rng import RngFactory
 
 __all__ = [
     "DISTRIBUTIONS",
-    "FlatPlatform",
     "PartitionedPlatform",
     "PartitionedOutcome",
-    "Platform",
     "distribute_jobs",
     "normalize_distribution",
     "normalize_topology",
@@ -135,75 +129,23 @@ def platform_identity(
     return doc
 
 
-class Platform:
-    """Base resource model: one named :class:`Cluster` pool per leaf.
-
-    Subclasses decide the pool layout (a single pool, equal topology
-    leaves, per-architecture pools); this base owns the shared
-    accounting surface — pool lookup, total capacity and the
-    conservation invariant each :class:`Cluster` enforces.
-    """
-
-    def __init__(self, pools: dict[str, int]) -> None:
-        if not pools:
-            raise ValueError("platform needs at least one pool")
-        self.pools = {name: Cluster(n) for name, n in pools.items()}
-
-    @property
-    def total_cores(self) -> int:
-        """Capacity summed over every pool."""
-        return sum(c.nmax for c in sorted_pools(self.pools))
-
-    def free(self, name: str) -> int:
-        """Idle units in pool *name*."""
-        return self.pools[name].free
-
-    def reset(self) -> None:
-        """Drop all allocations in every pool (fresh simulation)."""
-        for cluster in sorted_pools(self.pools):
-            cluster.reset()
-
-    @property
-    def is_partitioned(self) -> bool:
-        """Whether placement is constrained to per-leaf sub-machines."""
-        return len(self.pools) > 1
-
-
-def sorted_pools(pools: dict[str, Cluster]) -> list[Cluster]:
-    """Pools in deterministic (name-sorted) order."""
-    return [pools[name] for name in sorted(pools)]
-
-
-class FlatPlatform(Platform):
-    """The paper's machine: one pool of ``nmax`` interchangeable cores.
-
-    Contract: the engine simulates flat platforms through the original
-    kernel invocation (one ``simulate_events`` call over the whole
-    workload), so results are bit-identical to the pre-platform code and
-    static-score runs keep their C-backend eligibility.
-    """
-
-    def __init__(self, nmax: int) -> None:
-        super().__init__({"0": nmax})
-        self.nmax = nmax
-        self.topology: tuple[int, ...] | None = None
-        self.n_leaves = 1
-        self.leaf_cores = nmax
-
-
-class PartitionedPlatform(Platform):
+class PartitionedPlatform:
     """``nmax`` cores split into equal leaves by a topology tuple.
 
     ``topology=(2, 4)`` builds a two-level tree with ``2 * 4 = 8``
     leaves; ``nmax`` must divide evenly across them (the exemplar's
-    constraint) and every job must fit inside one leaf.  Leaf labels are
-    the dot-joined tree paths (``"0.0" .. "1.3"``), ordered by path.
+    constraint) and every job must fit inside one leaf.  A leaf is only
+    a core count here: :func:`simulate_partitioned` runs one kernel
+    instance per leaf against ``leaf_cores``.
     """
 
     def __init__(self, nmax: int, topology) -> None:
         topo = normalize_topology(topology)
         if topo is None:
-            raise ValueError("PartitionedPlatform needs a topology; use FlatPlatform")
+            raise ValueError(
+                "PartitionedPlatform needs a topology; flat machines call"
+                " the kernel directly"
+            )
         n_leaves = math.prod(topo)
         leaf_cores, remainder = divmod(nmax, n_leaves)
         if remainder != 0:
@@ -216,16 +158,10 @@ class PartitionedPlatform(Platform):
                 f"topology {topology_label(topo)} leaves no cores per leaf"
                 f" (nmax={nmax})"
             )
-        labels = [
-            ".".join(str(i) for i in path)
-            for path in itertools.product(*(range(v) for v in topo))
-        ]
-        super().__init__({label: leaf_cores for label in labels})
         self.nmax = nmax
         self.topology = topo
         self.n_leaves = n_leaves
         self.leaf_cores = leaf_cores
-        self.leaf_labels = tuple(labels)
 
     def validate_sizes(self, size: np.ndarray) -> None:
         """Every job must fit inside one leaf (leaves are the placement unit)."""

@@ -1,5 +1,6 @@
 """Declared dependencies match what the code imports."""
 
+import ast
 import os
 import re
 import subprocess
@@ -47,3 +48,36 @@ def test_test_extra_and_console_script():
         "scipy",
     }
     assert project["scripts"] == {"repro-sched": "repro.cli:main"}
+
+
+def _top_level_imports(package: Path) -> dict[str, str]:
+    """Top-level module of every absolute import under *package*, mapped
+    to one file that imports it (for the failure message)."""
+    found: dict[str, str] = {}
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                found.setdefault(name.split(".")[0], str(path.relative_to(ROOT)))
+    return found
+
+
+def test_every_third_party_import_is_declared():
+    """Installing the declared dependencies is enough to import every
+    module of the library: no undeclared third-party import hides in an
+    optional path."""
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text("utf-8"))["project"]
+    declared = _names(project["dependencies"])
+    third_party = {
+        name: where
+        for name, where in _top_level_imports(ROOT / "src" / "repro").items()
+        if name not in sys.stdlib_module_names and name != "repro"
+    }
+    undeclared = {n: w for n, w in third_party.items() if n not in declared}
+    assert not undeclared, f"imported but not in [project].dependencies: {undeclared}"
+    assert "numpy" in third_party  # the scan does see real imports

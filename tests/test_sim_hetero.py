@@ -4,14 +4,19 @@ import numpy as np
 import pytest
 
 from repro.policies.classic import FCFS, SPT
+from repro.policies.registry import get_policy
 from repro.sim.engine import simulate
 from repro.sim.hetero import (
+    ArchSpec,
     HeteroJob,
     HeteroPlatform,
     Variant,
     hetero_simulate,
+    parse_arch_specs,
 )
 from repro.sim.job import Workload
+from repro.specs import SimulateSpec
+from repro.specs.base import SpecError
 
 
 def cpu_job(job_id, submit, runtime, size, gpu=None):
@@ -27,6 +32,22 @@ class TestDataTypes:
             Variant(runtime=0.0, size=1)
         with pytest.raises(ValueError):
             Variant(runtime=1.0, size=0)
+
+    @pytest.mark.parametrize("runtime", [float("nan"), float("inf")])
+    def test_variant_runtime_must_be_finite(self, runtime):
+        with pytest.raises(ValueError, match="finite"):
+            Variant(runtime=runtime, size=1)
+
+    @pytest.mark.parametrize("speedup", ["nan", "inf"])
+    def test_non_finite_speedup_rejected(self, speedup):
+        # A NaN speedup gives NaN runtimes that never complete, so the
+        # simulation would never return; inf gives zero runtimes.
+        with pytest.raises(ValueError, match="arch 'gpu': speedup must be finite"):
+            parse_arch_specs(["cpu:256", f"gpu:64:{speedup}"])
+        with pytest.raises(ValueError, match="finite"):
+            ArchSpec("gpu", 64, float(speedup))
+        with pytest.raises(SpecError, match="arch 'gpu'"):
+            SimulateSpec(policy="fcfs", hetero=("cpu:256", f"gpu:64:{speedup}"))
 
     def test_job_needs_variants(self):
         with pytest.raises(ValueError):
@@ -118,10 +139,14 @@ class TestDispatch:
 
 
 class TestEquivalenceWithHomogeneousEngine:
-    def test_single_pool_matches_engine(self, rng):
-        """cpu-only hetero == homogeneous engine without backfilling."""
-        n, nmax = 40, 8
-        submit = np.sort(rng.uniform(0, 200, n))
+    @pytest.mark.parametrize("policy", ["FCFS", "SPT", "F1", "WFP3", "UNICEF"])
+    def test_single_pool_matches_engine(self, rng, policy):
+        """cpu-only hetero == homogeneous engine without backfilling, bit
+        for bit, for static and dynamic queue orders.  The dispatcher
+        ranks the queue once per pass and starts heads down that ranking;
+        the engine's kernel does the same."""
+        n, nmax = 300, 8
+        submit = np.sort(rng.uniform(0, 1500, n))
         runtime = rng.uniform(1, 50, n)
         size = rng.integers(1, nmax + 1, n)
 
@@ -129,11 +154,13 @@ class TestEquivalenceWithHomogeneousEngine:
             cpu_job(i, float(submit[i]), float(runtime[i]), int(size[i]))
             for i in range(n)
         ]
-        hres = hetero_simulate(hjobs, SPT(), HeteroPlatform({"cpu": nmax}))
+        hres = hetero_simulate(
+            hjobs, get_policy(policy), HeteroPlatform({"cpu": nmax})
+        )
 
         wl = Workload.from_arrays(submit, runtime, size, nmax=nmax)
-        eres = simulate(wl, SPT(), nmax)
-        np.testing.assert_allclose(hres.start, eres.start)
+        eres = simulate(wl, get_policy(policy), nmax)
+        np.testing.assert_array_equal(hres.start, eres.start)
 
     def test_policy_ordering_respected(self):
         # both jobs queued behind a blocker; SPT runs the short one first
